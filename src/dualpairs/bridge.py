@@ -32,9 +32,8 @@ from .fields import (
     MapField,
     StreamFunction,
     TangentField,
-    cell_average,
     integrated_omega,
-    pullback_omega,
+    right_momentum_pair,
     transport_along,
 )
 from .symplectic import Observable, canonical_omega, poisson_bracket_value
@@ -226,10 +225,11 @@ def transport_residual(cov: CovectorField, alpha: StreamFunction) -> float:
     """Residual of the transport identity on a closed grid source.
 
     Side one is ``sum_s <P_s, (D Q_s) . X_alpha(s)> mu_s``; side two is the
-    pairing of the pullback of the canonical two-form by the full phase map
-    against alpha, ``-sum_cells c * avg(alpha) * spacing^2``.  Equal in the
-    continuum (the proof integrates by parts, hence the closed-source
-    requirement); O(N^-2) apart for smooth discrete data.
+    right-momentum pairing of the full phase map against alpha,
+    ``-sum_cells c * avg(alpha) * spacing^2`` with c the pulled-back
+    canonical two-form.  Equal in the continuum (the proof integrates by
+    parts, hence the closed-source requirement); O(N^-2) apart for smooth
+    discrete data.
     """
     src = cov.source
     if not isinstance(src, GridSource) or src.topology != "periodic":
@@ -238,9 +238,7 @@ def transport_residual(cov: CovectorField, alpha: StreamFunction) -> float:
         raise ValueError("stream function lives on a different grid")
     moved = transport_along(src, cov.q, alpha)
     side1 = math.fsum((np.einsum("...i,...i->...", cov.p, moved) * src.weights).ravel())
-    c = pullback_omega(cov.phase_map()).values
-    abar = cell_average(src, alpha.values)
-    side2 = -math.fsum((c * abar * src.spacing**2).ravel())
+    side2 = right_momentum_pair(cov.phase_map(), alpha)
     return abs(side1 - side2)
 
 

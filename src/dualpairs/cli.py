@@ -95,7 +95,6 @@ _OPTIONS = {
         "filament": (_as_bool, False),
         "nodes": (int, 32),
         "radius": (float, 1.0),
-        "seed": (int, 7),
         "out": (str, "peakon.csv"),
     },
     "advect": {
@@ -138,7 +137,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults; float options must be finite."""
     table = _OPTIONS[command]
     raw = _read_config(args.config) if args.config else {}
     unknown = sorted(set(raw) - set(table))
@@ -156,6 +155,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         else:
             merged[key] = default
+        if parse is float and merged[key] is not None and not math.isfinite(merged[key]):
+            raise ValueError(f"{key} must be finite, got {merged[key]}")
     return merged
 
 
@@ -259,8 +260,7 @@ def _cmd_peakon(opt: dict) -> int:
     steps = int(round(opt["t_final"] / opt["dt"]))
     state = _build_peakon_state(opt)
     traj = integrate(state, FlowSpec(opt["method"], opt["dt"], steps))
-    write_trajectory_csv(opt["out"], traj)
-    energies = traj.hamiltonians()
+    energies = write_trajectory_csv(opt["out"], traj)
     drift = abs(energies[-1] - energies[0])
     print(
         f"peakon run: steps={steps} final_q1={format_float(traj.q[-1, 0, 0])} "
@@ -362,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_peakon.add_argument("--filament", action="store_true", default=None)
     p_peakon.add_argument("--nodes", type=int, help="filament node count")
     p_peakon.add_argument("--radius", type=float, help="filament radius")
-    p_peakon.add_argument("--seed", type=int)
 
     p_advect = sub.add_parser("advect", help="advect a grid map by a flow on the target")
     p_advect.add_argument("--grid", type=int)

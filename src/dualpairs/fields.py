@@ -17,7 +17,6 @@ not merely to rounding.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,14 +37,12 @@ __all__ = [
     "equivariance_residual",
     "fiber_pairing",
     "format_float",
-    "grid_config_block",
     "integrated_observable",
     "integrated_omega",
     "left_act",
     "left_generator",
     "nodewise_linear",
     "orthogonality_residual",
-    "parse_grid_config",
     "pullback_omega",
     "right_act",
     "right_act_stream",
@@ -54,8 +51,6 @@ __all__ = [
     "right_momentum_pair",
     "stream_vector_field",
     "transport_along",
-    "write_cells_csv",
-    "write_map_csv",
 ]
 
 TOPOLOGIES = ("periodic", "patch")
@@ -400,7 +395,8 @@ def fiber_pairing(
     the volume form (degree 2).  The result takes ``p + q - 2`` tangent
     arguments:
 
-    * two-form against alpha: no tangents, the scalar ``sum c * avg(alpha) * h^2``;
+    * two-form against alpha: no tangents, the scalar ``sum c * avg(alpha) * h^2``
+      (minus :func:`right_momentum_pair`);
     * two-form against the volume: two tangents, the weighted pairing
       :func:`integrated_omega`;
     * observable differential against the volume: one tangent,
@@ -412,10 +408,7 @@ def fiber_pairing(
     if len(tangents) != degree:
         raise ValueError(f"this pairing takes exactly {degree} tangent argument(s), got {len(tangents)}")
     if observable is None and alpha is not None:
-        _check_same_grid(f, alpha)
-        c = pullback_omega(f).values
-        abar = cell_average(f.source, alpha.values)
-        return math.fsum((c * abar * f.source.spacing**2).ravel())
+        return -right_momentum_pair(f, alpha)
     if observable is None:
         return integrated_omega(f, tangents[0], tangents[1])
     (U,) = tangents
@@ -535,71 +528,3 @@ def equivariance_residual(alpha_x: StreamFunction, alpha_y: StreamFunction, f: M
     v = TangentField(src, transport_along(src, f.values, alpha_y))
     term_pairing = integrated_omega(f, u, v)
     return term_bracket - term_pairing
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def _component_names(dim: int) -> list[str]:
-    n = dim // 2
-    return [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-
-
-def write_map_csv(path, f: MapField) -> None:
-    """Write node values, row-major, header ``s1,s2,<components...>``."""
-    s1, s2 = f.source.node_coords()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s1", "s2"] + _component_names(f.dim))
-        ns1, ns2 = f.source.node_shape
-        for i in range(ns1):
-            for j in range(ns2):
-                row = [format_float(s1[i, j]), format_float(s2[i, j])]
-                row += [format_float(x) for x in f.values[i, j]]
-                writer.writerow(row)
-
-
-def write_cells_csv(path, c: CellTwoForm) -> None:
-    """Write per-cell densities, row-major, cells labeled by their lower corner."""
-    h = c.source.spacing
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s1", "s2", "value"])
-        n1, n2 = c.source.cell_shape
-        for i in range(n1):
-            for j in range(n2):
-                writer.writerow([format_float(i * h), format_float(j * h), format_float(c.values[i, j])])
-
-
-def grid_config_block(source: GridSource) -> str:
-    """Text description of a grid, in the CLI's ``key = value`` format."""
-    return (
-        f"topology = {source.topology}\n"
-        f"n = {source.n}\n"
-        f"mass = {format_float(source.mass)}\n"
-    )
-
-
-def parse_grid_config(text: str) -> GridSource:
-    """Parse the output of :func:`grid_config_block` (unknown keys rejected)."""
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise ValueError(f"duplicate key {key!r}")
-        fields[key] = value
-    unknown = set(fields) - {"topology", "n", "mass"}
-    if unknown:
-        raise ValueError(f"unknown grid config keys: {sorted(unknown)}")
-    if "topology" not in fields or "n" not in fields:
-        raise ValueError("grid config needs at least 'topology' and 'n'")
-    return GridSource(
-        topology=fields["topology"],
-        n=int(fields["n"]),
-        mass=float(fields.get("mass", "1")),
-    )

@@ -174,14 +174,33 @@ class FilamentState(SingularState):
 
 # -- collective dynamics -------------------------------------------------------
 
+# Pairs per block of trajectory rows in the diagnostics, so their memory is
+# O(A^2) whatever the number of steps.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _pair_terms(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(P_a . P_b) G(Q_a - Q_b) w_a w_b`` over any leading axes; H is half their sum."""
+    dq = q[..., :, None, :] - q[..., None, :, :]
+    pp = np.einsum("...ai,...bi->...ab", p, p)
+    return pp * kernel_eval(k, dq) * np.outer(w, w)
+
+
+def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_a P_a w_a`` over the support axis of (..., A, d) covectors, one fsum per entry."""
+    terms = np.moveaxis(p * w[:, None], -2, -1)
+    sums = [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
+    return np.array(sums).reshape(terms.shape[:-1])
+
 
 def collective_hamiltonian(st: SingularState) -> float:
     """``1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b`` (order-independent sum)."""
-    dq = st.q[:, None, :] - st.q[None, :, :]
-    g = kernel_eval(st.kernel, dq)
-    pp = st.p @ st.p.T
-    ww = np.outer(st.weights, st.weights)
-    return 0.5 * math.fsum((pp * g * ww).ravel())
+    return 0.5 * math.fsum(_pair_terms(st.kernel, st.q, st.p, st.weights).ravel())
+
+
+def _canonical_point(st: SingularState) -> np.ndarray:
+    """The state as one flat vector in the canonical variables (Q, P w)."""
+    return np.concatenate([st.q.ravel(), (st.p * st.weights[:, None]).ravel()])
 
 
 def rhs(st: SingularState) -> tuple[np.ndarray, np.ndarray]:
@@ -189,13 +208,14 @@ def rhs(st: SingularState) -> tuple[np.ndarray, np.ndarray]:
 
     ``Qdot_a = sum_b P_b G(Q_a - Q_b) w_b`` and
     ``Pdot_a = -sum_b (P_a . P_b) grad G(Q_a - Q_b) w_b``; the masses enter
-    so that P stays a density per unit of the reference measure.
+    so that P stays a density per unit of the reference measure.  Both come
+    from the gradient the steppers use, taken in the canonical variables
+    (Q, P w), with the P equation divided by the masses.
     """
-    dq = st.q[:, None, :] - st.q[None, :, :]
-    g = kernel_eval(st.kernel, dq)
-    dg = kernel_grad(st.kernel, dq)
-    qdot = np.einsum("ab,bi,b->ai", g, st.p, st.weights)
-    pdot = -np.einsum("ab,abi,b->ai", st.p @ st.p.T, dg, st.weights)
+    a, d = st.count, st.dim
+    grad = _collective_observable(st).gradient(_canonical_point(st))
+    qdot = grad[a * d :].reshape(a, d)
+    pdot = -grad[: a * d].reshape(a, d) / st.weights[:, None]
     return qdot, pdot
 
 
@@ -207,6 +227,7 @@ def _collective_observable(template: SingularState) -> Observable:
     """
     a, d = template.count, template.dim
     k = template.kernel
+    unit = np.ones(a)
 
     def split(z: np.ndarray):
         head = z.shape[:-1]
@@ -214,10 +235,7 @@ def _collective_observable(template: SingularState) -> Observable:
 
     def value(z: np.ndarray):
         q, pt = split(z)
-        dq = q[..., :, None, :] - q[..., None, :, :]
-        g = kernel_eval(k, dq)
-        pp = np.einsum("...ai,...bi->...ab", pt, pt)
-        return 0.5 * np.einsum("...ab,...ab->...", pp, g)
+        return 0.5 * np.sum(_pair_terms(k, q, pt, unit), axis=(-2, -1))
 
     def gradient(z: np.ndarray):
         q, pt = split(z)
@@ -260,20 +278,19 @@ class Trajectory:
         return SingularState(self.q[i], self.p[i], self.kernel, self.weights)
 
     def hamiltonians(self) -> np.ndarray:
-        dq = self.q[:, :, None, :] - self.q[:, None, :, :]
-        g = kernel_eval(self.kernel, dq)
-        pp = np.einsum("tai,tbi->tab", self.p, self.p)
-        ww = np.outer(self.weights, self.weights)
-        terms = pp * g * ww
-        return 0.5 * np.array([math.fsum(t.ravel()) for t in terms])
+        """``collective_hamiltonian`` at each time, evaluated in blocks of rows."""
+        a = self.q.shape[1]
+        rows = max(1, _BLOCK_PAIRS // (a * a))
+        out = np.empty(len(self))
+        for start in range(0, len(self), rows):
+            block = slice(start, start + rows)
+            terms = _pair_terms(self.kernel, self.q[block], self.p[block], self.weights)
+            out[block] = [0.5 * math.fsum(t.ravel()) for t in terms]
+        return out
 
     def total_momenta(self) -> np.ndarray:
         """``sum_a P_a w_a`` at each time, shape (steps + 1, d)."""
-        cols = []
-        for i in range(self.p.shape[2]):
-            terms = self.p[:, :, i] * self.weights
-            cols.append([math.fsum(row) for row in terms])
-        return np.array(cols).T
+        return _weighted_totals(self.p, self.weights)
 
     def filament_currents(self) -> np.ndarray:
         """Per-node current ``<P, D_s Q>`` at each time, shape (steps + 1, A)."""
@@ -310,8 +327,7 @@ def integrate(st: SingularState, spec: FlowSpec) -> Trajectory:
     a gaussian kernel at large dt.
     """
     a, d = st.count, st.dim
-    z0 = np.concatenate([st.q.ravel(), (st.p * st.weights[:, None]).ravel()])
-    path = flow(_collective_observable(st), z0, spec)
+    path = flow(_collective_observable(st), _canonical_point(st), spec)
     steps = path.shape[0]
     q = path[:, : a * d].reshape(steps, a, d)
     pt = path[:, a * d :].reshape(steps, a, d)
@@ -350,7 +366,7 @@ def pair_with_field(st: SingularState, x_field) -> float:
 
 def total_momentum(st: SingularState) -> np.ndarray:
     """``sum_a P_a w_a`` — the translation charge, one component per target axis."""
-    return np.array([math.fsum(st.p[:, i] * st.weights) for i in range(st.dim)])
+    return _weighted_totals(st.p, st.weights)
 
 
 def filament_current(st: FilamentState) -> np.ndarray:
@@ -386,8 +402,11 @@ def reparametrize(st: SingularState, shift: int) -> SingularState:
 # -- serialization --------------------------------------------------------------
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """One row per step: t, flattened Q, flattened P, H, total momentum, jr drift."""
+def write_trajectory_csv(path, traj: Trajectory) -> np.ndarray:
+    """One row per step: t, flattened Q, flattened P, H, total momentum, jr drift.
+
+    Returns the H column, so callers need not compute it again.
+    """
     a, d = traj.q.shape[1], traj.q.shape[2]
     header = (
         ["t"]
@@ -411,3 +430,4 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
             row += [format_float(x) for x in momenta[i]]
             row.append(format_float(drifts[i]))
             writer.writerow(row)
+    return energies

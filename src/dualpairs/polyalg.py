@@ -118,14 +118,6 @@ class RationalPoly:
             return -1
         return max(sum(ix) for ix in self._terms)
 
-    def is_separable(self) -> bool:
-        """True when every monomial involves only q-variables or only p-variables."""
-        n = self.nvars // 2
-        for ix in self._terms:
-            if any(ix[:n]) and any(ix[n:]):
-                return False
-        return True
-
     # -- ring operations -------------------------------------------------
 
     def _require_same_vars(self, other: "RationalPoly") -> None:
@@ -266,7 +258,7 @@ class RationalPoly:
                 out[..., i] = partial(m)
             return out
 
-        return Observable(value, gradient, separable=self.is_separable(), name=str(self))
+        return Observable(value, gradient, name=str(self))
 
 
 def _float_evaluator(poly: RationalPoly):

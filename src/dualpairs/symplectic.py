@@ -33,7 +33,7 @@ __all__ = [
     "poisson_bracket_value",
 ]
 
-METHODS = ("implicit-midpoint", "stormer-verlet", "rk4")
+METHODS = ("implicit-midpoint", "rk4")
 
 # Central-difference step scale for gradient fallbacks (see Observable).
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -98,9 +98,6 @@ class Observable:
         Optional callable of the same broadcasting shape returning
         ``(..., 2n)``.  When omitted, a fourth-order central-difference
         fallback with step ``cbrt(eps) * (1 + |m|)`` is used.
-    separable:
-        Set when ``h(q, p) = T(p) + V(q)``; only separable observables are
-        accepted by the Stoermer-Verlet integrator.
     """
 
     def __init__(
@@ -108,12 +105,10 @@ class Observable:
         value: Callable[[np.ndarray], np.ndarray],
         gradient: Callable[[np.ndarray], np.ndarray] | None = None,
         *,
-        separable: bool = False,
         name: str = "",
     ):
         self._value = value
         self._gradient = gradient if gradient is not None else _fd_gradient(value)
-        self.separable = bool(separable)
         self.name = name
 
     def value(self, m) -> np.ndarray:
@@ -124,7 +119,7 @@ class Observable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "<callable>"
-        return f"Observable({label}, separable={self.separable})"
+        return f"Observable({label})"
 
 
 @dataclass(frozen=True)
@@ -186,27 +181,14 @@ def _midpoint_step(h: Observable, m: np.ndarray, dt: float, step_index: int) -> 
     # The convergence test is the max-norm over the whole batch, so the
     # iteration count depends only on the multiset of states; permuting a
     # batch commutes with this map bit for bit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = m + dt * hamiltonian_vector_field(h, m)
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            y_next = m + dt * hamiltonian_vector_field(h, 0.5 * (m + y))
-            delta = float(np.max(np.abs(y_next - y)))
-            y = y_next
-            if delta <= _FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(y)))):
-                return y
+    y = m + dt * hamiltonian_vector_field(h, m)
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        y_next = m + dt * hamiltonian_vector_field(h, 0.5 * (m + y))
+        delta = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if delta <= _FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(y)))):
+            return y
     raise SolverDivergenceError(step_index)
-
-
-def _verlet_step(h: Observable, m: np.ndarray, dt: float) -> np.ndarray:
-    n = m.shape[-1] // 2
-    q, p = _split(m)
-    g = h.gradient(m)
-    p_half = p - 0.5 * dt * g[..., :n]
-    m1 = np.concatenate([q, p_half], axis=-1)
-    q_new = q + dt * h.gradient(m1)[..., n:]
-    m2 = np.concatenate([q_new, p_half], axis=-1)
-    p_new = p_half - 0.5 * dt * h.gradient(m2)[..., :n]
-    return np.concatenate([q_new, p_new], axis=-1)
 
 
 def _rk4_step(h: Observable, m: np.ndarray, dt: float) -> np.ndarray:
@@ -218,19 +200,16 @@ def _rk4_step(h: Observable, m: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _step_once(h: Observable, m: np.ndarray, spec: FlowSpec, step_index: int) -> np.ndarray:
-    if spec.method == "implicit-midpoint":
-        return _midpoint_step(h, m, spec.dt, step_index)
-    if spec.method == "stormer-verlet":
-        return _verlet_step(h, m, spec.dt)
-    return _rk4_step(h, m, spec.dt)
-
-
-def _check_method(h: Observable, spec: FlowSpec) -> None:
-    if spec.method == "stormer-verlet" and not h.separable:
-        raise ValueError(
-            "stormer-verlet requires a separable observable "
-            "(construct the Observable with separable=True)"
-        )
+    # Every method ends in the same finite-value check: an overflowing state
+    # is a divergence at this step, not a row of the trajectory.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.method == "implicit-midpoint":
+            m = _midpoint_step(h, m, spec.dt, step_index)
+        else:
+            m = _rk4_step(h, m, spec.dt)
+    if not np.isfinite(m).all():
+        raise SolverDivergenceError(step_index)
+    return m
 
 
 def advance(h: Observable, state, spec: FlowSpec):
@@ -239,7 +218,6 @@ def advance(h: Observable, state, spec: FlowSpec):
     Returns only the endpoint; use :func:`flow` for full trajectories of a
     single phase point.
     """
-    _check_method(h, spec)
     m = np.asarray(state, dtype=float)
     for k in range(spec.steps):
         m = _step_once(h, m, spec, k)
@@ -251,10 +229,10 @@ def flow(h: Observable, m0, spec: FlowSpec) -> np.ndarray:
 
     Returns an array of shape ``(steps + 1, 2n)`` whose first row is ``m0``.
     Implicit midpoint (the symplectic default) uses a fixed-point iteration
-    with tolerance 1e-13 and at most 50 iterations per step; non-convergence
-    raises :class:`SolverDivergenceError` carrying the step index.
+    with tolerance 1e-13 and at most 50 iterations per step.  Non-convergence,
+    or a non-finite state after a step of either method, raises
+    :class:`SolverDivergenceError` carrying the step index.
     """
-    _check_method(h, spec)
     m = phase_point(m0)
     out = np.empty((spec.steps + 1, m.size), dtype=float)
     out[0] = m

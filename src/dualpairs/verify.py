@@ -454,9 +454,7 @@ def filament_dt_study(
         m_end = traj.filament_currents()[-1]
         excesses.append(float(np.max(np.abs(m_end - m_ref))) / scale)
     # Order in dt: slope of log excess against log dt (refinement shrinks dt).
-    xs = np.log(np.asarray(dts))
-    ys = np.log(np.maximum(np.asarray(excesses), 1e-300))
-    order = float(np.polyfit(xs, ys, 1)[0])
+    order = -observed_order(dts, excesses)
     passed = order >= threshold
     return [
         CheckRow("filament-dt", round(t_final / dt), d, threshold, passed, order)

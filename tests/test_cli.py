@@ -165,6 +165,32 @@ def test_peakon_io_failure(capsys, tmp_path):
     assert "i/o failure" in err
 
 
+def test_peakon_rk4_overflow_is_numeric_divergence(capsys, tmp_path):
+    path = tmp_path / "overflow.csv"
+    code, _, err = run(
+        capsys, "peakon", "--method", "rk4", "--dim", "2", "--n", "3", "--alpha", "0.01",
+        "--p", "1e200", "--dt", "1", "--t-final", "3", "--out", str(path),
+    )
+    assert code == 4
+    assert "numeric divergence at step" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t-final", "inf"), ("--p", "nan"), ("--alpha", "inf")])
+def test_peakon_rejects_non_finite_numbers(capsys, tmp_path, flag, value):
+    code, _, err = run(capsys, "peakon", flag, value, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "must be finite" in err
+
+
+def test_peakon_reads_no_seed(capsys, tmp_path):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 7\n")
+    code, _, err = run(capsys, "peakon", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "unknown config keys for peakon: ['seed']" in err
+
+
 # -- advect -----------------------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ permutations, telescoping edge sums) and are asserted with ``==``; genuinely
 discretized quantities get explicit tolerances tied to their order.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from dualpairs.datagen import (
     sample_stream,
 )
 from dualpairs.fields import (
-    CellTwoForm,
     GridSource,
     GridSymmetry,
     MapField,
@@ -30,21 +28,17 @@ from dualpairs.fields import (
     equivariance_residual,
     fiber_pairing,
     format_float,
-    grid_config_block,
     integrated_observable,
     integrated_omega,
     left_act,
     nodewise_linear,
     orthogonality_residual,
-    parse_grid_config,
     pullback_omega,
     right_act,
     right_act_stream,
     right_generator,
     right_momentum,
     right_momentum_pair,
-    write_cells_csv,
-    write_map_csv,
 )
 from dualpairs.symplectic import FlowSpec, Observable
 
@@ -398,49 +392,3 @@ def test_symmetry_requires_uniform_periodic():
 def test_format_float_round_trips():
     for x in (0.1, 1.0 / 3.0, -2.5e-17, 5.0, 0.0):
         assert float(format_float(x)) == x
-
-
-def test_map_csv_schema(tmp_path):
-    src = GridSource("periodic", 4)
-    f = identity_map(src)
-    path = tmp_path / "map.csv"
-    write_map_csv(path, f)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["s1", "s2", "q1", "p1"]
-    assert len(rows) == 1 + 16
-    # row-major node order: second row is node (0, 1)
-    assert rows[2][:2] == ["0", "0.25"]
-    raw = (tmp_path / "map.csv").read_bytes()
-    assert b"\r\n" in raw  # RFC 4180 line endings
-
-
-def test_cells_csv_schema(tmp_path):
-    src = GridSource("periodic", 4)
-    c = pullback_omega(identity_map(src))
-    assert isinstance(c, CellTwoForm)
-    path = tmp_path / "cells.csv"
-    write_cells_csv(path, c)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows[0] == ["s1", "s2", "value"]
-    assert len(rows) == 1 + 16
-    assert rows[1][2] == "1"
-
-
-def test_grid_config_round_trip():
-    src = GridSource("patch", 12, mass=2.0)
-    block = grid_config_block(src)
-    parsed = parse_grid_config(block)
-    assert parsed.topology == "patch"
-    assert parsed.n == 12
-    assert parsed.mass == 2.0
-
-
-def test_grid_config_unknown_key_rejected():
-    with pytest.raises(ValueError):
-        parse_grid_config("topology = periodic\nn = 8\ncolor = blue\n")
-
-
-def test_grid_config_missing_key_rejected():
-    with pytest.raises(ValueError):
-        parse_grid_config("topology = periodic\n")

@@ -153,6 +153,24 @@ def test_rhs_weights_enter_pairwise_sums():
     assert dq[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
+def test_diagnostics_match_per_state_values_bitwise():
+    # 64 nodes put 16 rows in a block of the diagnostics; 40 steps span three blocks.
+    rng = np.random.default_rng(11)
+    nodes = 64
+    ang = 2 * np.pi * np.arange(nodes) / nodes
+    q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    p = 0.5 * np.stack([-np.sin(ang), np.cos(ang)], axis=-1) + 0.1 * rng.normal(size=(nodes, 2))
+    st = FilamentState(q, p, KernelSpec("gaussian", 0.8), rng.uniform(0.5, 1.5, nodes) / nodes)
+    traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 40))
+    h = traj.hamiltonians()
+    ptot = traj.total_momenta()
+    assert h.shape == (41,) and ptot.shape == (41, 2)
+    for i in range(len(traj)):
+        state = traj.state_at(i)
+        assert collective_hamiltonian(state) == h[i]
+        assert np.array_equal(total_momentum(state), ptot[i])
+
+
 def test_hamiltonian_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     st = SingularState(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), KernelSpec("gaussian", 1.3))

@@ -77,12 +77,6 @@ def test_finite_difference_gradient_fallback():
     assert np.abs(h.gradient(z) - z).max() < 1e-9
 
 
-def test_stormer_verlet_needs_separable():
-    h = oscillator()  # not flagged separable
-    with pytest.raises(ValueError):
-        advance(h, np.zeros(2), FlowSpec("stormer-verlet", 1e-2, 5))
-
-
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         FlowSpec("leapfrog-deluxe", 1e-2, 5)
