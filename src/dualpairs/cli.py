@@ -13,7 +13,8 @@ configuration reproduce identical bytes.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 usage or
 configuration error, 3 I/O failure, 4 numeric divergence (the failing step
-index goes to stderr).
+index goes to stderr), 5 internal error (any other exception; the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -50,6 +52,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 FLOWS = ("shear", "rotation", "swirl")
 SUITES = ("exact", "numeric", "all")
@@ -398,6 +401,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

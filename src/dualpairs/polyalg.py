@@ -16,6 +16,7 @@ exposes the plain vector-field bracket for the sign-consistency checks.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +84,18 @@ class RationalPoly:
                     clean.pop(index, None)
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Index, Fraction]) -> "RationalPoly":
+        """Wrap terms this module built itself: valid indices, Fraction values.
+
+        Only zero coefficients are dropped; the checks of ``__init__`` are
+        for outside input and would re-validate every intermediate result.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = {ix: c for ix, c in terms.items() if c}
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -132,13 +145,14 @@ class RationalPoly:
         self._require_same_vars(other)
         terms = dict(self._terms)
         for ix, c in other._terms.items():
-            terms[ix] = terms.get(ix, Fraction(0)) + c
-        return RationalPoly(self.nvars, terms)
+            old = terms.get(ix)
+            terms[ix] = c if old is None else old + c
+        return RationalPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly(self.nvars, {ix: -c for ix, c in self._terms.items()})
+        return RationalPoly._trusted(self.nvars, {ix: -c for ix, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -153,16 +167,11 @@ class RationalPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return RationalPoly(self.nvars, {ix: c * v for ix, v in self._terms.items()})
+            return RationalPoly._trusted(self.nvars, {ix: c * v for ix, v in self._terms.items()})
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._require_same_vars(other)
-        terms: dict[Index, Fraction] = {}
-        for ix1, c1 in self._terms.items():
-            for ix2, c2 in other._terms.items():
-                ix = tuple(a + b for a, b in zip(ix1, ix2))
-                terms[ix] = terms.get(ix, Fraction(0)) + c1 * c2
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, _mul_acc({}, self, other))
 
     __rmul__ = __mul__
 
@@ -182,6 +191,10 @@ class RationalPoly:
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self):
+        # Constants compare equal to their int/Fraction value, so they must
+        # hash like it too.
+        if self.degree() <= 0:
+            return hash(self.coefficient((0,) * self.nvars))
         return hash((self.nvars, frozenset(self._terms.items())))
 
     # -- calculus ---------------------------------------------------------
@@ -196,7 +209,7 @@ class RationalPoly:
             down = list(ix)
             down[i] = e - 1
             terms[tuple(down)] = c * e
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -261,6 +274,20 @@ class RationalPoly:
         return Observable(value, gradient, name=str(self))
 
 
+def _mul_acc(
+    terms: dict[Index, Fraction], a: RationalPoly, b: RationalPoly, sign: int = 1
+) -> dict[Index, Fraction]:
+    """Accumulate ``sign * a * b`` into ``terms`` in place (zeros are kept)."""
+    add, get = operator.add, terms.get
+    for ix1, c1 in a._terms.items():
+        c1 = c1 if sign > 0 else -c1
+        for ix2, c2 in b._terms.items():
+            ix = tuple(map(add, ix1, ix2))
+            old = get(ix)
+            terms[ix] = c1 * c2 if old is None else old + c1 * c2
+    return terms
+
+
 def _float_evaluator(poly: RationalPoly):
     if poly.is_zero():
         return lambda m: np.zeros(np.asarray(m).shape[:-1], dtype=float)
@@ -312,10 +339,11 @@ def poisson_bracket(g: RationalPoly, h: RationalPoly) -> RationalPoly:
     """Exact canonical bracket ``sum_i (dg/dq^i dh/dp_i - dg/dp_i dh/dq^i)``."""
     g._require_same_vars(h)
     n = g.nvars // 2
-    out = RationalPoly.zero(g.nvars)
+    terms: dict[Index, Fraction] = {}
     for i in range(n):
-        out = out + g.diff(i) * h.diff(n + i) - g.diff(n + i) * h.diff(i)
-    return out
+        _mul_acc(terms, g.diff(i), h.diff(n + i))
+        _mul_acc(terms, g.diff(n + i), h.diff(i), -1)
+    return RationalPoly._trusted(g.nvars, terms)
 
 
 def normalize_at(h: RationalPoly, m0=None) -> RationalPoly:
@@ -373,10 +401,11 @@ def field_omega(X: Sequence[RationalPoly], Y: Sequence[RationalPoly]) -> Rationa
     if _check_field(Y) != nvars:
         raise ValueError("fields live on different phase spaces")
     n = nvars // 2
-    out = RationalPoly.zero(nvars)
+    terms: dict[Index, Fraction] = {}
     for i in range(n):
-        out = out + X[i] * Y[n + i] - X[n + i] * Y[i]
-    return out
+        _mul_acc(terms, X[i], Y[n + i])
+        _mul_acc(terms, X[n + i], Y[i], -1)
+    return RationalPoly._trusted(nvars, terms)
 
 
 def jacobi_lie_bracket(
@@ -388,10 +417,11 @@ def jacobi_lie_bracket(
         raise ValueError("fields live on different phase spaces")
     out = []
     for i in range(nvars):
-        comp = RationalPoly.zero(nvars)
+        terms: dict[Index, Fraction] = {}
         for j in range(nvars):
-            comp = comp + X[j] * Y[i].diff(j) - Y[j] * X[i].diff(j)
-        out.append(comp)
+            _mul_acc(terms, X[j], Y[i].diff(j))
+            _mul_acc(terms, Y[j], X[i].diff(j), -1)
+        out.append(RationalPoly._trusted(nvars, terms))
     return tuple(out)
 
 

@@ -57,6 +57,17 @@ def test_verify_writes_report_csv(capsys, tmp_path):
     assert all(r[4] == "true" for r in rows[1:])
 
 
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def boom(opt):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", boom)
+    code, _, err = run(capsys, "verify", "--suite", "exact", "--count", "1")
+    assert code == 5
+    assert "Traceback" in err
+    assert "RuntimeError: boom" in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2

@@ -38,6 +38,14 @@ def test_constant_and_variable_basics():
     assert (q * p).degree() == 2
 
 
+@pytest.mark.parametrize("value", [0, 3, Fraction(1, 2)])
+def test_constant_hashes_like_its_value(value):
+    c = RationalPoly.constant(value, 2)
+    assert c == value
+    assert hash(c) == hash(value)
+    assert len({c, value}) == 1
+
+
 def test_canonical_string_is_graded_lex():
     q = q_var(1, 1)
     p = p_var(1, 1)
