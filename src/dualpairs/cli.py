@@ -27,7 +27,7 @@ import traceback
 
 import numpy as np
 
-from . import datagen, verify
+from . import datagen, peakons, verify
 from .errors import SolverDivergenceError
 from .fields import (
     GridSource,
@@ -231,10 +231,19 @@ def _cmd_converge(opt: dict) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_INVARIANT
 
 
+def _require_pair_budget(count: int) -> None:
+    _require(
+        count * count <= peakons.MAX_PAIRS,
+        f"{count} points need {count * count} kernel pairs, over the limit of "
+        f"{peakons.MAX_PAIRS} (peakons.MAX_PAIRS, at most {math.isqrt(peakons.MAX_PAIRS)} points)",
+    )
+
+
 def _build_peakon_state(opt: dict):
     if opt["filament"]:
         _require(opt["nodes"] >= 3, "filament runs need at least 3 nodes")
         _require(opt["radius"] > 0.0, "radius must be positive")
+        _require_pair_budget(opt["nodes"])
         kernel = KernelSpec(opt["kernel"] or "gaussian", opt["alpha"])
         s = np.arange(opt["nodes"]) / opt["nodes"]
         ang = 2.0 * np.pi * s
@@ -244,6 +253,7 @@ def _build_peakon_state(opt: dict):
         return FilamentState(q, p, kernel)
     _require(opt["n"] >= 1, "n must be >= 1")
     _require(opt["dim"] >= 1, "dim must be >= 1")
+    _require_pair_budget(opt["n"])
     default_kernel = "exp1d" if opt["dim"] == 1 else "gaussian"
     kernel = KernelSpec(opt["kernel"] or default_kernel, opt["alpha"])
     count, dim = opt["n"], opt["dim"]

@@ -76,24 +76,46 @@ def _check_kernel_dim(k: KernelSpec, d: int) -> None:
         raise ValueError(f"the exp1d kernel is one-dimensional, got points with d = {d}")
 
 
+def _differences(q: np.ndarray) -> np.ndarray:
+    """Displacements ``Q_a - Q_b`` of (..., A, d) positions, one component per slice: (d, ..., A, A)."""
+    c = np.ascontiguousarray(q.transpose(-1, *range(q.ndim - 1)))
+    return c[..., :, None] - c[..., None, :]
+
+
+def _kernel(k: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G`` and slopes ``u`` with ``d_i G = u[i] G`` at displacements ``x`` of shape (d, ...).
+
+    One ``exp`` per displacement.  The slopes overwrite ``x``, which must be
+    an array the caller owns.  The exp1d slope ``-sign(x) / alpha`` is zero
+    at ``x = 0``, which is the ``G'(0) = 0`` convention.
+    """
+    if k.family == "exp1d":
+        g = np.abs(x[0])
+        np.exp(np.divide(g, -k.alpha, out=g), out=g)
+        g /= 2.0 * k.alpha
+        return g, np.divide(np.sign(x, out=x), -k.alpha, out=x)
+    r2 = np.einsum("i...,i...->...", x, x)
+    g = np.exp(np.divide(r2, -2.0 * k.alpha**2, out=r2), out=r2)
+    return g, np.divide(x, -k.alpha**2, out=x)
+
+
+def _components(k: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """(..., d) displacements as an owned (d, N) array, for ``_kernel`` to overwrite."""
+    _check_kernel_dim(k, x.shape[-1])
+    return np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1).copy()
+
+
 def kernel_eval(k: KernelSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate G on an array of displacement vectors of shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    _check_kernel_dim(k, x.shape[-1])
-    if k.family == "exp1d":
-        return np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha)
-    r2 = np.einsum("...i,...i->...", x, x)
-    return np.exp(-r2 / (2.0 * k.alpha**2))
+    return _kernel(k, _components(k, x))[0].reshape(x.shape[:-1])
 
 
 def kernel_grad(k: KernelSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of G, shape (..., d); zero at x = 0 for both families."""
     x = np.asarray(x, dtype=float)
-    _check_kernel_dim(k, x.shape[-1])
-    if k.family == "exp1d":
-        g = -np.sign(x[..., 0]) * np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha**2)
-        return g[..., None]
-    return -x / k.alpha**2 * kernel_eval(k, x)[..., None]
+    g, u = _kernel(k, _components(k, x))
+    return np.moveaxis(u * g, 0, -1).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +177,8 @@ class FilamentState(SingularState):
 
     def __post_init__(self):
         super().__post_init__()
-        dq = self.q[:, None, :] - self.q[None, :, :]
-        dist2 = np.einsum("abi,abi->ab", dq, dq)
+        x = _differences(self.q)
+        dist2 = np.einsum("i...,i...->...", x, x)
         np.fill_diagonal(dist2, np.inf)
         if self.count > 1 and not np.min(dist2) > 0.0:
             raise ValueError("filament positions must be pairwise distinct")
@@ -178,12 +200,19 @@ class FilamentState(SingularState):
 # O(A^2) whatever the number of steps.
 _BLOCK_PAIRS = 1 << 16
 
+# The most kernel pairs A^2 a peakon run may ask for (A = 4096).  A field
+# evaluation holds d + 2 float arrays of A^2 entries, about 0.5 GB at this
+# bound in two dimensions; the CLI refuses larger runs before building them.
+MAX_PAIRS = 1 << 24
+
 
 def _pair_terms(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``(P_a . P_b) G(Q_a - Q_b) w_a w_b`` over any leading axes; H is half their sum."""
-    dq = q[..., :, None, :] - q[..., None, :, :]
-    pp = np.einsum("...ai,...bi->...ab", p, p)
-    return pp * kernel_eval(k, dq) * np.outer(w, w)
+    terms = _kernel(k, _differences(q))[0]
+    # einsum sums each entry's own products (no BLAS), so the terms are bitwise symmetric
+    terms *= np.einsum("...ai,...bi->...ab", p, p)
+    terms *= np.outer(w, w)
+    return terms
 
 
 def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -239,12 +268,11 @@ def _collective_observable(template: SingularState) -> Observable:
 
     def gradient(z: np.ndarray):
         q, pt = split(z)
-        dq = q[..., :, None, :] - q[..., None, :, :]
-        g = kernel_eval(k, dq)
-        dg = kernel_grad(k, dq)
-        pp = np.einsum("...ai,...bi->...ab", pt, pt)
-        dq_grad = np.einsum("...ab,...abi->...ai", pp, dg)
-        dpt_grad = np.einsum("...ab,...bi->...ai", g, pt)
+        g, u = _kernel(k, _differences(q))
+        c = pt @ np.swapaxes(pt, -1, -2)
+        c *= g
+        dq_grad = np.einsum("...ab,i...ab->...ai", c, u)
+        dpt_grad = g @ pt
         head = z.shape[:-1]
         return np.concatenate(
             [dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1
@@ -278,14 +306,22 @@ class Trajectory:
         return SingularState(self.q[i], self.p[i], self.kernel, self.weights)
 
     def hamiltonians(self) -> np.ndarray:
-        """``collective_hamiltonian`` at each time, evaluated in blocks of rows."""
+        """``collective_hamiltonian`` at each time, evaluated in blocks of rows.
+
+        The pair terms are bitwise symmetric, so the ``fsum`` of the doubled
+        strict upper triangle and the diagonal is exactly the full-matrix one.
+        """
         a = self.q.shape[1]
         rows = max(1, _BLOCK_PAIRS // (a * a))
+        upper = np.triu(np.ones((a, a), dtype=bool), 1)
         out = np.empty(len(self))
         for start in range(0, len(self), rows):
             block = slice(start, start + rows)
             terms = _pair_terms(self.kernel, self.q[block], self.p[block], self.weights)
-            out[block] = [0.5 * math.fsum(t.ravel()) for t in terms]
+            halves = np.concatenate(
+                [2.0 * terms[:, upper], np.diagonal(terms, axis1=1, axis2=2)], axis=1
+            )
+            out[block] = [0.5 * math.fsum(memoryview(row)) for row in halves]
         return out
 
     def total_momenta(self) -> np.ndarray:

@@ -165,6 +165,7 @@ def test_criterion_6_byte_identical_reruns(tmp_path, capsys):
     pairs = []
     for name, argv in [
         ("peakon", ["peakon", "--n", "2", "--dt", "0.01", "--t-final", "0.5"]),
+        ("filament", ["peakon", "--filament", "--nodes", "64", "--dt", "0.01", "--t-final", "0.5"]),
         ("advect", ["advect", "--flow", "swirl", "--grid", "8", "--steps", "10"]),
         ("converge", ["converge", "--op", "derivative"]),
     ]:

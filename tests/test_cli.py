@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from dualpairs import cli
+from dualpairs import cli, peakons
 
 
 def run(capsys, *argv):
@@ -192,6 +192,27 @@ def test_peakon_rejects_non_finite_numbers(capsys, tmp_path, flag, value):
     code, _, err = run(capsys, "peakon", flag, value, "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [["--filament", "--nodes", "11"], ["--n", "11"]])
+def test_peakon_refuses_runs_over_the_pair_budget(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(peakons, "MAX_PAIRS", 100)
+    path = tmp_path / "big.csv"
+    code, _, err = run(capsys, "peakon", *argv, "--t-final", "0.01", "--dt", "0.01", "--out", str(path))
+    assert code == 2
+    assert "121 kernel pairs" in err and "MAX_PAIRS" in err
+    assert not path.exists()
+
+
+def test_peakon_runs_at_the_pair_budget(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(peakons, "MAX_PAIRS", 100)
+    path = tmp_path / "fits.csv"
+    code, _, _ = run(
+        capsys, "peakon", "--filament", "--nodes", "10", "--t-final", "0.01", "--dt", "0.01",
+        "--out", str(path),
+    )
+    assert code == 0
+    assert len(read_rows(path)) == 1 + 2
 
 
 def test_peakon_reads_no_seed(capsys, tmp_path):

@@ -9,6 +9,10 @@ from dualpairs.peakons import (
     FlowSpec,
     KernelSpec,
     SingularState,
+    Trajectory,
+    _canonical_point,
+    _collective_observable,
+    _pair_terms,
     collective_hamiltonian,
     filament_current,
     integrate,
@@ -169,6 +173,84 @@ def test_diagnostics_match_per_state_values_bitwise():
         state = traj.state_at(i)
         assert collective_hamiltonian(state) == h[i]
         assert np.array_equal(total_momentum(state), ptot[i])
+
+
+# -- the fused collective gradient against the einsum formulation -----------------
+
+
+def _reference_kernel(k, x):
+    """G and grad G on (..., d) displacements, two exps per point, as first written."""
+    if k.family == "exp1d":
+        g = np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha)
+        dg = -np.sign(x[..., 0]) * np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha**2)
+        return g, dg[..., None]
+    g = np.exp(-np.einsum("...i,...i->...", x, x) / (2.0 * k.alpha**2))
+    return g, -x / k.alpha**2 * g[..., None]
+
+
+def _reference_gradient(st, z):
+    """The collective gradient through (A, A, d) displacements and generic einsums."""
+    a, d = st.count, st.dim
+    head = z.shape[:-1]
+    q = z[..., : a * d].reshape(head + (a, d))
+    pt = z[..., a * d :].reshape(head + (a, d))
+    dq = q[..., :, None, :] - q[..., None, :, :]
+    g, dg = _reference_kernel(st.kernel, dq)
+    pp = np.einsum("...ai,...bi->...ab", pt, pt)
+    dq_grad = np.einsum("...ab,...abi->...ai", pp, dg)
+    dpt_grad = np.einsum("...ab,...bi->...ai", g, pt)
+    return np.concatenate([dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1)
+
+
+def _random_state(seed, count, dim, family, alpha):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(count, dim))
+    if family == "exp1d":
+        q[3] = q[0]  # coincident points: the kernel slope there is 0 by convention
+        q[7] = q[5]
+    return SingularState(q, rng.normal(size=(count, dim)), KernelSpec(family, alpha), rng.uniform(0.2, 3.0, count))
+
+
+@pytest.mark.parametrize(
+    "family, dim, alpha",
+    [("exp1d", 1, 0.7), ("exp1d", 1, 1.0), ("gaussian", 1, 0.9), ("gaussian", 2, 1.3), ("gaussian", 3, 0.6)],
+)
+def test_fused_gradient_matches_einsum_reference(family, dim, alpha):
+    st = _random_state(23, 40, dim, family, alpha)
+    z = _canonical_point(st)
+    fused = _collective_observable(st).gradient(z)
+    reference = _reference_gradient(st, z)
+    assert np.max(np.abs(fused - reference)) <= 1e-13 * np.max(np.abs(reference))
+    # the same point twice in one batch gives the per-row result bit for bit
+    other = _canonical_point(_random_state(29, 40, dim, family, alpha))
+    batch = _collective_observable(st).gradient(np.stack([z, other]))
+    assert batch.shape == (2, z.size)
+    assert np.array_equal(batch[0], fused)
+    assert np.array_equal(batch[1], _collective_observable(st).gradient(other))
+
+
+def test_exp1d_coincident_points_feel_no_mutual_force():
+    k = KernelSpec("exp1d", 1.0)
+    st = SingularState(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), k)
+    dq, dp = rhs(st)
+    assert np.array_equal(dp, np.zeros((2, 1)))
+    assert np.array_equal(dq, np.full((2, 1), 1.5))
+
+
+@pytest.mark.parametrize("dim, count, rows", [(2, 40, 90), (3, 40, 90), (2, 300, 3), (3, 7, 5)])
+def test_hamiltonians_half_sum_equals_full_matrix_fsum(dim, count, rows):
+    # 40 points put 40 rows in a block (three blocks for 90 rows); 300 points need one block per row
+    rng = np.random.default_rng(dim * 1000 + count)
+    q = rng.normal(size=(rows, count, dim))
+    p = rng.normal(size=(rows, count, dim))
+    w = rng.uniform(0.5, 1.5, count)
+    k = KernelSpec("gaussian", 0.9)
+    traj = Trajectory(np.arange(rows) * 0.1, q, p, w, k)
+    h = traj.hamiltonians()
+    for i in range(rows):
+        terms = _pair_terms(k, q[i], p[i], w)
+        assert np.array_equal(terms, terms.T)
+        assert h[i] == 0.5 * math.fsum(terms.ravel().tolist())
 
 
 def test_hamiltonian_gradient_matches_finite_differences():
