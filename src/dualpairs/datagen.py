@@ -82,19 +82,28 @@ def trig_vector(
     return fn
 
 
+def _sample(source: GridSource, fn) -> np.ndarray:
+    """Evaluate ``fn(s1, s2)`` on the broadcast node lines, then spread it to node shape.
+
+    The closure sees ``s1`` as a column and ``s2`` as a row, so per-axis
+    work (a ``sin`` of one coordinate) runs on one line of nodes instead of
+    all of them; every node's own arithmetic is that of the full grid.
+    """
+    line = source.node_line()
+    v = np.asarray(fn(line[:, None], line[None, :]), dtype=float)
+    return np.broadcast_to(v, source.node_shape + v.shape[2:]).copy()
+
+
 def sample_stream(source: GridSource, fn) -> StreamFunction:
-    s1, s2 = source.node_coords()
-    return StreamFunction(source, fn(s1, s2))
+    return StreamFunction(source, _sample(source, fn))
 
 
 def sample_map(source: GridSource, fn) -> MapField:
-    s1, s2 = source.node_coords()
-    return MapField(source, fn(s1, s2))
+    return MapField(source, _sample(source, fn))
 
 
 def sample_tangent(source: GridSource, fn) -> TangentField:
-    s1, s2 = source.node_coords()
-    return TangentField(source, fn(s1, s2))
+    return TangentField(source, _sample(source, fn))
 
 
 def random_stream(rng: np.random.Generator, source: GridSource, amplitude: float = 0.5) -> StreamFunction:

@@ -9,10 +9,12 @@ the weighted pairings, both momentum pairings, the fiber-integration
 pairing, the group actions, and their residual diagnostics.
 
 Determinism and exact-invariance policy: every scalar reduction goes
-through ``math.fsum`` (an exactly rounded sum), so totals are independent
-of node ordering.  Combined with the pair-symmetric corner average used by
-the cell quadrature, the grid-symmetry identities below hold bit for bit,
-not merely to rounding.
+through ``_fsum``, an exactly rounded sum that returns the same double as
+``math.fsum`` bit for bit.  It adds the integer mantissas of the terms per
+binary exponent with ``np.bincount`` (exact in float64) and rounds the
+total once, so totals are independent of node ordering.  Combined with
+the pair-symmetric corner average used by the cell quadrature, the
+grid-symmetry identities below hold bit for bit, not merely to rounding.
 """
 
 from __future__ import annotations
@@ -56,8 +58,49 @@ __all__ = [
 TOPOLOGIES = ("periodic", "patch")
 
 
+# Arrays below this size go straight to ``math.fsum``, which is faster there.
+_FSUM_SMALL = 1024
+# Per-bucket sums of 27-bit halves stay exact in float64 below this many terms.
+_FSUM_LARGE = 2**26
+
+
 def _fsum(values: np.ndarray) -> float:
-    return math.fsum(np.asarray(values, dtype=float).ravel())
+    """Exactly rounded sum of an array, equal to ``math.fsum`` bit for bit.
+
+    Each double is ``M * 2**(k - 1127)`` with a 53-bit integer mantissa M
+    split as ``hi * 2**26 + lo`` and an exponent bucket ``k = e + 1074``
+    from ``np.frexp``.  Two weighted ``np.bincount`` calls add ``hi`` and
+    ``lo`` per bucket; every partial sum is an integer below ``2**53``, so
+    both are exact.  The bucket totals are combined as one Python int and
+    divided by ``2**1127``, and ``int / int`` is correctly rounded.  Small,
+    huge, non-finite or near-overflow input, and exact zeros (whose sign
+    ``math.fsum`` decides), go to ``math.fsum`` itself.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    size = x.size
+    # Below the bound no partial sum of math.fsum can overflow; NaN fails it too.
+    if (
+        size < _FSUM_SMALL
+        or size >= _FSUM_LARGE
+        or not max(-float(x.min()), float(x.max())) < 2.0 ** (1020 - size.bit_length())
+    ):
+        return math.fsum(memoryview(x))
+    m, e = np.frexp(x)
+    e += 1074
+    m *= 2.0**27
+    hi = np.trunc(m)
+    m -= hi
+    m *= 2.0**26
+    hi_sums = np.bincount(e, weights=hi)
+    lo_sums = np.bincount(e, weights=m)
+    buckets = np.flatnonzero((hi_sums != 0.0) | (lo_sums != 0.0))
+    total = sum(
+        ((int(h) << 26) + int(lo)) << k
+        for k, h, lo in zip(buckets.tolist(), hi_sums[buckets].tolist(), lo_sums[buckets].tolist())
+    )
+    if total == 0:
+        return math.fsum(memoryview(x))
+    return total / (1 << 1127)
 
 
 def format_float(x: float) -> str:
@@ -121,10 +164,13 @@ class GridSource:
     def cell_shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
+    def node_line(self) -> np.ndarray:
+        """Node coordinates along one axis (both axes share them)."""
+        return np.arange(self.node_shape[0]) * self.spacing
+
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays ``(s1, s2)`` of node coordinates, each of node shape."""
-        ns = self.node_shape[0]
-        line = np.arange(ns) * self.spacing
+        line = self.node_line()
         return np.meshgrid(line, line, indexing="ij")
 
     def is_uniform(self) -> bool:
@@ -245,12 +291,26 @@ def _centered_periodic(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     interference instead of a clean slope.  At sixth order the node error
     sits two decades below the cell error already on the coarsest grid.
     """
-    d1 = np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
-    if values.shape[axis] < 7:
-        return d1 / (2.0 * h)
-    d2 = np.roll(values, -2, axis=axis) - np.roll(values, 2, axis=axis)
-    d3 = np.roll(values, -3, axis=axis) - np.roll(values, 3, axis=axis)
-    return (45.0 * d1 - 9.0 * d2 + d3) / (60.0 * h)
+    n = values.shape[axis]
+    r = 1 if n < 7 else 3
+    head = (slice(None),) * axis
+    # One wrap-padded copy; shifted(s)[i] = values[(i + s) mod n] is a slice of it.
+    padded = np.concatenate(
+        [values[head + (slice(n - r, None),)], values, values[head + (slice(None, r),)]], axis=axis
+    )
+
+    def shifted(s: int) -> np.ndarray:
+        return padded[head + (slice(r + s, r + s + n),)]
+
+    d1 = shifted(1) - shifted(-1)
+    if r == 1:
+        d1 /= 2.0 * h
+        return d1
+    d1 *= 45.0
+    d1 -= 9.0 * (shifted(2) - shifted(-2))
+    d1 += shifted(3) - shifted(-3)
+    d1 /= 60.0 * h
+    return d1
 
 
 def _node_derivatives(source: GridSource, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +349,11 @@ def transport_along(source: GridSource, values: np.ndarray, alpha: StreamFunctio
 
 
 def _check_same_grid(a, b) -> None:
-    if a.source is not b.source and a.source.node_shape != b.source.node_shape:
+    """Raise unless two fields share topology, resolution and node weights."""
+    sa, sb = a.source, b.source
+    if sa is sb:
+        return
+    if (sa.topology, sa.n) != (sb.topology, sb.n) or not np.array_equal(sa.weights, sb.weights):
         raise ValueError("fields live on different grids")
 
 
@@ -303,13 +367,13 @@ def integrated_omega(f: MapField, U: TangentField, V: TangentField) -> float:
     if U.values.shape != V.values.shape:
         raise ValueError(f"tangent shapes differ: {U.values.shape} vs {V.values.shape}")
     w = canonical_omega(U.values, V.values)
-    return math.fsum((w * f.source.weights).ravel())
+    return _fsum(w * f.source.weights)
 
 
 def integrated_observable(f: MapField, h: Observable) -> float:
     """``sum_s h(f(s)) mu_s`` — the pairing of the pushed-forward measure with h."""
     vals = h.value(f.values)
-    return math.fsum((vals * f.source.weights).ravel())
+    return _fsum(vals * f.source.weights)
 
 
 def left_generator(f: MapField, h: Observable) -> TangentField:
@@ -327,18 +391,18 @@ def right_generator(f: MapField, alpha: StreamFunction) -> TangentField:
 
 
 def _cell_corners(source: GridSource, values: np.ndarray):
-    """Stacks (v00, v10, v01, v11) of cell-corner samples, each cell_shape-shaped."""
+    """Stacks (v00, v10, v01, v11) of cell-corner samples, each cell_shape-shaped.
+
+    A periodic grid is first wrap-padded by one node row and column, so both
+    topologies take the same four slices.
+    """
     if source.topology == "periodic":
-        v00 = values
-        v10 = np.roll(values, -1, axis=0)
-        v01 = np.roll(values, -1, axis=1)
-        v11 = np.roll(np.roll(values, -1, axis=0), -1, axis=1)
-    else:
-        v00 = values[:-1, :-1]
-        v10 = values[1:, :-1]
-        v01 = values[:-1, 1:]
-        v11 = values[1:, 1:]
-    return v00, v10, v01, v11
+        padded = np.empty((source.n + 1, source.n + 1) + values.shape[2:])
+        padded[:-1, :-1] = values
+        padded[-1, :-1] = values[0]
+        padded[:, -1] = padded[:, 0]
+        values = padded
+    return values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]
 
 
 def pullback_omega(f: MapField) -> CellTwoForm:
@@ -349,8 +413,12 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     """
     h = f.source.spacing
     v00, v10, v01, v11 = _cell_corners(f.source, f.values)
-    d1 = ((v10 - v00) + (v11 - v01)) / (2.0 * h)
-    d2 = ((v01 - v00) + (v11 - v10)) / (2.0 * h)
+    d1 = v10 - v00
+    d1 += v11 - v01
+    d1 /= 2.0 * h
+    d2 = v01 - v00
+    d2 += v11 - v10
+    d2 /= 2.0 * h
     return CellTwoForm(f.source, canonical_omega(d1, d2))
 
 
@@ -378,7 +446,7 @@ def right_momentum_pair(f: MapField, alpha: StreamFunction) -> float:
     c = pullback_omega(f).values
     abar = cell_average(f.source, alpha.values)
     h2 = f.source.spacing**2
-    return -math.fsum((c * abar * h2).ravel())
+    return -_fsum(c * abar * h2)
 
 
 def fiber_pairing(
@@ -415,7 +483,7 @@ def fiber_pairing(
     _check_same_grid(f, U)
     g = observable.gradient(f.values)
     terms = np.einsum("...i,...i->...", g, U.values) * f.source.weights
-    return math.fsum(terms.ravel())
+    return _fsum(terms)
 
 
 def orthogonality_residual(f: MapField, h: Observable, alpha: StreamFunction) -> float:

@@ -168,7 +168,11 @@ def hamiltonian_vector_field(h: Observable, m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     g = h.gradient(m)
     gq, gp = _split(g)
-    return np.concatenate([gp, -gq], axis=-1)
+    x = np.empty_like(g)
+    xq, xp = _split(x)
+    xq[...] = gp
+    np.negative(gq, out=xp)
+    return x
 
 
 def poisson_bracket_value(g: Observable, h: Observable, m) -> float | np.ndarray:
@@ -181,12 +185,22 @@ def _midpoint_step(h: Observable, m: np.ndarray, dt: float, step_index: int) -> 
     # The convergence test is the max-norm over the whole batch, so the
     # iteration count depends only on the multiset of states; permuting a
     # batch commutes with this map bit for bit.
-    y = m + dt * hamiltonian_vector_field(h, m)
+    # hamiltonian_vector_field returns a fresh array, so ``dt * X + m`` is
+    # formed in place on it; ``mid`` and ``scratch`` serve every iteration.
+    y = hamiltonian_vector_field(h, m)
+    y *= dt
+    y += m
+    mid = np.empty_like(y)
+    scratch = np.empty_like(y)
     for _ in range(_FIXED_POINT_MAX_ITER):
-        y_next = m + dt * hamiltonian_vector_field(h, 0.5 * (m + y))
-        delta = float(np.max(np.abs(y_next - y)))
+        np.add(m, y, out=mid)
+        mid *= 0.5
+        y_next = hamiltonian_vector_field(h, mid)
+        y_next *= dt
+        y_next += m
+        delta = float(np.abs(np.subtract(y_next, y, out=scratch), out=scratch).max())
         y = y_next
-        if delta <= _FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(y)))):
+        if delta <= _FIXED_POINT_TOL * (1.0 + float(np.abs(y, out=scratch).max())):
             return y
     raise SolverDivergenceError(step_index)
 

@@ -35,6 +35,7 @@ from .fields import (
     GridSymmetry,
     MapField,
     StreamFunction,
+    _fsum,
     equivariance_residual,
     fiber_pairing,
     integrated_observable,
@@ -253,7 +254,7 @@ def numeric_suite(seed: int = 7, n: int = 16, tol: float | None = None) -> list[
     scale = max(1.0, float(np.max(np.abs(c0))))
     rows.append(_row("linear-symplectic-invariance", np.max(np.abs(c1 - c0)) / scale, 1e-13, n))
 
-    total_scale = math.fsum(np.abs(c0).ravel()) * src.spacing**2
+    total_scale = _fsum(np.abs(c0)) * src.spacing**2
     rows.append(
         _row("pullback-telescoping", pullback_omega(f).integral() / max(total_scale, 1e-300), 1e-14, n)
     )

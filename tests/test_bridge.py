@@ -253,3 +253,12 @@ def test_transport_identity_refuses_open_sources():
     chain_cov, _ = chain_covectors()
     with pytest.raises(ValueError):
         transport_residual(chain_cov, alpha)
+
+
+def test_transport_identity_refuses_a_potential_on_another_grid():
+    cov, _ = grid_covectors(n=16)
+    patch = GridSource("patch", 15)
+    assert patch.node_shape == cov.source.node_shape
+    alpha = StreamFunction(patch, np.zeros(patch.node_shape))
+    with pytest.raises(ValueError, match="different grids"):
+        transport_residual(cov, alpha)

@@ -304,6 +304,26 @@ def test_equivariance_residual_same_potential_is_zero():
     assert equivariance_residual(alpha, alpha, f) == 0.0
 
 
+def test_fields_on_different_grids_do_not_pair():
+    # Both grids have 16 x 16 nodes; only topology and weights tell them apart.
+    rng = np.random.default_rng(47)
+    periodic, patch = GridSource("periodic", 16), GridSource("patch", 15)
+    assert periodic.node_shape == patch.node_shape
+    f = random_map(rng, periodic, dim=2)
+    with pytest.raises(ValueError, match="different grids"):
+        right_momentum_pair(f, random_stream(rng, patch))
+    uniform_patch = GridSource("patch", 15, weights=periodic.weights)
+    with pytest.raises(ValueError, match="different grids"):
+        right_momentum_pair(f, random_stream(rng, uniform_patch))
+    heavy = GridSource("periodic", 16, mass=2.0)
+    with pytest.raises(ValueError, match="different grids"):
+        right_momentum_pair(f, random_stream(rng, heavy))
+    with pytest.raises(ValueError, match="different grids"):
+        integrated_omega(f, random_tangent(rng, patch), random_tangent(rng, patch))
+    # an equal but separately built source still pairs
+    right_momentum_pair(f, random_stream(rng, GridSource("periodic", 16)))
+
+
 def test_equivariance_needs_periodic_source():
     src = GridSource("patch", 8)
     rng = np.random.default_rng(43)
