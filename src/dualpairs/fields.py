@@ -204,7 +204,7 @@ class ChainSource:
 
 
 def _frozen_array(values, shape_head: tuple[int, ...], label: str, trailing: bool) -> np.ndarray:
-    v = np.array(values, dtype=float)
+    v = np.array(values, dtype=float, order="C")
     expected_ndim = len(shape_head) + (1 if trailing else 0)
     if v.ndim != expected_ndim or v.shape[: len(shape_head)] != shape_head:
         raise ValueError(f"{label} shape {v.shape} does not match node shape {shape_head}")

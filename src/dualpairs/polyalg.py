@@ -1,9 +1,20 @@
 """Exact rational Poisson algebra on polynomial observables.
 
-Everything in this module is computed over ``fractions.Fraction`` with no
-floating-point fallback: the cocycle identities and the central-extension
-isomorphism are verified with zero numerical error.  Polynomials live on
-phase space R^(2n) with variables named ``q1..qn, p1..pn``.
+Coefficients are exact rationals with no floating-point fallback: the
+cocycle identities and the central-extension isomorphism are verified with
+zero numerical error.  Polynomials live on phase space R^(2n) with variables
+named ``q1..qn, p1..pn``.
+
+Representation: one positive common denominator and a dict from packed
+exponents to int numerators, normalised so that the denominator and the
+numerators share no factor (``==`` and ``hash`` are canonical).  A packed
+exponent holds variable ``i`` in bits ``16 i .. 16 i + 15``, so multiplying
+monomials is one int addition and ``diff`` is a shift, a mask and one int
+multiply.  The top bit of each field is a guard: exponents are at most
+``MAX_EXPONENT``, the validating constructor rejects larger ones, and a
+product that reaches a guard bit raises ``OverflowError`` instead of
+carrying into the next variable.  The public surface still speaks exponent
+tuples and :class:`Fraction` coefficients.
 
 Bracket conventions (shared with :mod:`dualpairs.symplectic`):
 ``{g, h} = sum_i (dg/dq^i dh/dp_i - dg/dp_i dh/dq^i)``.  The Jacobi-Lie
@@ -16,7 +27,8 @@ exposes the plain vector-field bracket for the sign-consistency checks.
 
 from __future__ import annotations
 
-import operator
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +39,7 @@ import numpy as np
 from .symplectic import Observable
 
 __all__ = [
+    "MAX_EXPONENT",
     "ExtendedElement",
     "RationalPoly",
     "central_cocycle",
@@ -44,6 +57,11 @@ __all__ = [
 ]
 
 Index = tuple[int, ...]
+Terms = dict[int, int]
+
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 
 
 def _as_fraction(value) -> Fraction:
@@ -56,44 +74,88 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _pack(index: Iterable[int], nvars: int) -> int:
+    index = tuple(map(int, index))
+    if len(index) != nvars or min(index) < 0 or max(index) > MAX_EXPONENT:
+        raise ValueError(
+            f"bad exponent multi-index {index} for nvars={nvars} (exponents 0..{MAX_EXPONENT})"
+        )
+    key = 0
+    for e in reversed(index):
+        key = (key << _WIDTH) | e
+    return key
+
+
+def _numerators(coeffs: dict[int, Fraction]) -> tuple[Terms, int]:
+    """Fractions as numerators over their lcm, which shares no factor with all of them."""
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+
+
+def _checked_nvars(nvars: int) -> int:
+    if nvars < 2 or nvars % 2 != 0:
+        raise ValueError(f"nvars must be even and >= 2, got {nvars}")
+    return int(nvars)
+
+
+def _unpack(key: int, nvars: int) -> Index:
+    return tuple((key >> shift) & _FIELD for shift in range(0, _WIDTH * nvars, _WIDTH))
+
+
+@functools.cache
+def _guard(nvars: int) -> int:
+    return sum(1 << (_WIDTH * j + _WIDTH - 1) for j in range(nvars))
+
+
 class RationalPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    Stored as a map from exponent multi-indices (tuples of length ``nvars``)
-    to nonzero :class:`Fraction` coefficients.  Instances are immutable
-    values; all arithmetic is exact.
+    Stored as int numerators over one common denominator, keyed by packed
+    exponents (see the module docstring); ``items`` and ``coefficient``
+    present them as exponent tuples and :class:`Fraction` values.
+    Instances are immutable values; all arithmetic is exact.
     """
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[Index, Fraction] | None = None):
-        if nvars < 2 or nvars % 2 != 0:
-            raise ValueError(f"nvars must be even and >= 2, got {nvars}")
-        self.nvars = int(nvars)
-        clean: dict[Index, Fraction] = {}
+        self.nvars = _checked_nvars(nvars)
+        clean: dict[int, Fraction] = {}
         for index, coeff in (terms or {}).items():
-            index = tuple(int(e) for e in index)
-            if len(index) != nvars or any(e < 0 for e in index):
-                raise ValueError(f"bad exponent multi-index {index} for nvars={nvars}")
+            key = _pack(index, self.nvars)
             c = _as_fraction(coeff)
             if c != 0:
-                accumulated = clean.get(index, Fraction(0)) + c
+                accumulated = clean.get(key, Fraction(0)) + c
                 if accumulated != 0:
-                    clean[index] = accumulated
+                    clean[key] = accumulated
                 else:
-                    clean.pop(index, None)
-        self._terms = clean
+                    clean.pop(key, None)
+        self._terms, self._den = _numerators(clean)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Index, Fraction]) -> "RationalPoly":
-        """Wrap terms this module built itself: valid indices, Fraction values.
+    def _trusted(cls, nvars: int, terms: Terms, den: int = 1) -> "RationalPoly":
+        """Take ownership of numerators over ``den > 0`` built in this module.
 
-        Only zero coefficients are dropped; the checks of ``__init__`` are
-        for outside input and would re-validate every intermediate result.
+        Drops zero numerators and divides out the common factor; the checks
+        of ``__init__`` are for outside input and would re-validate every
+        intermediate result.
         """
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        # A loop, not gcd(den, *values): building a tuple of varying length
+        # per result made peak RSS creep up over repeated suite runs.
+        common = den
+        for c in terms.values():
+            common = math.gcd(common, c)
+            if common == 1:
+                break
+        if common != 1:
+            den //= common
+            terms = {key: c // common for key, c in terms.items()}
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly._terms = {ix: c for ix, c in terms.items() if c}
+        poly._terms = terms
+        poly._den = den
         return poly
 
     # -- constructors -------------------------------------------------
@@ -116,11 +178,16 @@ class RationalPoly:
 
     # -- inspection ----------------------------------------------------
 
-    def items(self) -> Iterable[tuple[Index, Fraction]]:
-        return self._terms.items()
+    def items(self) -> list[tuple[Index, Fraction]]:
+        nvars, den = self.nvars, self._den
+        return [(_unpack(key, nvars), Fraction(c, den)) for key, c in self._terms.items()]
 
     def coefficient(self, index: Index) -> Fraction:
-        return self._terms.get(tuple(index), Fraction(0))
+        try:
+            key = _pack(index, self.nvars)
+        except ValueError:
+            return Fraction(0)
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -129,7 +196,7 @@ class RationalPoly:
         """Total degree; the zero polynomial has degree -1 by convention."""
         if not self._terms:
             return -1
-        return max(sum(ix) for ix in self._terms)
+        return max(sum(_unpack(key, self.nvars)) for key in self._terms)
 
     # -- ring operations -------------------------------------------------
 
@@ -143,16 +210,20 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._require_same_vars(other)
-        terms = dict(self._terms)
-        for ix, c in other._terms.items():
-            old = terms.get(ix)
-            terms[ix] = c if old is None else old + c
-        return RationalPoly._trusted(self.nvars, terms)
+        den = math.lcm(self._den, other._den)
+        scale = den // self._den
+        terms = {key: c * scale for key, c in self._terms.items()}
+        get, scale = terms.get, den // other._den
+        for key, c in other._terms.items():
+            terms[key] = get(key, 0) + c * scale
+        return RationalPoly._trusted(self.nvars, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly._trusted(self.nvars, {ix: -c for ix, c in self._terms.items()})
+        return RationalPoly._trusted(
+            self.nvars, {key: -c for key, c in self._terms.items()}, self._den
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,11 +238,12 @@ class RationalPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return RationalPoly._trusted(self.nvars, {ix: c * v for ix, v in self._terms.items()})
+            terms = {key: v * c.numerator for key, v in self._terms.items()}
+            return RationalPoly._trusted(self.nvars, terms, self._den * c.denominator)
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._require_same_vars(other)
-        return RationalPoly._trusted(self.nvars, _mul_acc({}, self, other))
+        return _combine(self.nvars, [(1, self._terms, other._terms, self._den * other._den)])
 
     __rmul__ = __mul__
 
@@ -188,49 +260,57 @@ class RationalPoly:
             other = RationalPoly.constant(other, self.nvars)
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (
+            self.nvars == other.nvars and self._den == other._den and self._terms == other._terms
+        )
 
     def __hash__(self):
         # Constants compare equal to their int/Fraction value, so they must
         # hash like it too.
-        if self.degree() <= 0:
-            return hash(self.coefficient((0,) * self.nvars))
-        return hash((self.nvars, frozenset(self._terms.items())))
+        if self._terms.keys() <= {0}:
+            return hash(Fraction(self._terms.get(0, 0), self._den))
+        return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, i: int) -> "RationalPoly":
         """Exact partial derivative with respect to variable ``i``."""
-        terms: dict[Index, Fraction] = {}
-        for ix, c in self._terms.items():
-            e = ix[i]
-            if e == 0:
-                continue
-            down = list(ix)
-            down[i] = e - 1
-            terms[tuple(down)] = c * e
-        return RationalPoly._trusted(self.nvars, terms)
+        i = range(self.nvars)[i]
+        return RationalPoly._trusted(self.nvars, _diff_terms(self._terms, i), self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
         pt = [_as_fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.nvars}")
-        total = Fraction(0)
-        for ix, c in self._terms.items():
-            term = c
-            for x, e in zip(pt, ix):
+        if not any(pt):
+            return Fraction(self._terms.get(0, 0), self._den)
+        # x_j = a_j / scale; each term c * prod a_j^e_j / scale^deg is
+        # brought to the common denominator den * scale^top.
+        scale = math.lcm(*(x.denominator for x in pt))
+        coords = [
+            (shift, x.numerator * (scale // x.denominator))
+            for shift, x in zip(range(0, _WIDTH * self.nvars, _WIDTH), pt)
+        ]
+        values = []
+        for key, c in self._terms.items():
+            degree = 0
+            for shift, a in coords:
+                e = (key >> shift) & _FIELD
                 if e:
-                    term *= x**e
-            total += term
-        return total
+                    c *= a**e
+                    degree += e
+            values.append((c, degree))
+        top = max((degree for _, degree in values), default=0)
+        total = sum(c * scale ** (top - degree) for c, degree in values)
+        return Fraction(total, self._den * scale**top)
 
     # -- presentation ------------------------------------------------------
 
     def _sorted_terms(self) -> list[tuple[Index, Fraction]]:
         # Graded lexicographic, highest first: total degree, then exponent
         # tuple.  Deterministic, used for the canonical text form.
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def _var_name(self, i: int) -> str:
         n = self.nvars // 2
@@ -274,18 +354,40 @@ class RationalPoly:
         return Observable(value, gradient, name=str(self))
 
 
-def _mul_acc(
-    terms: dict[Index, Fraction], a: RationalPoly, b: RationalPoly, sign: int = 1
-) -> dict[Index, Fraction]:
-    """Accumulate ``sign * a * b`` into ``terms`` in place (zeros are kept)."""
-    add, get = operator.add, terms.get
-    for ix1, c1 in a._terms.items():
-        c1 = c1 if sign > 0 else -c1
-        for ix2, c2 in b._terms.items():
-            ix = tuple(map(add, ix1, ix2))
-            old = get(ix)
-            terms[ix] = c1 * c2 if old is None else old + c1 * c2
-    return terms
+def _diff_terms(terms: Terms, i: int) -> Terms:
+    """Numerators of ``d/dx_i`` over the same denominator (not normalised)."""
+    shift = _WIDTH * i
+    unit = 1 << shift
+    out = {}
+    for key, c in terms.items():
+        e = (key >> shift) & _FIELD
+        if e:
+            out[key - unit] = c * e
+    return out
+
+
+def _combine(nvars: int, products) -> RationalPoly:
+    """``sum sign * a * b / den`` over ``(sign, a, b, den)`` numerator products.
+
+    Every product is scaled to the lcm of the ``den``s and accumulated into
+    one dict, in the order its monomials first appear.  Raises
+    ``OverflowError`` if a surviving exponent reaches a guard bit, i.e.
+    before any field could carry into the next.
+    """
+    den = math.lcm(*[d for _, _, _, d in products])
+    terms: Terms = {}
+    get = terms.get
+    for sign, a, b, d in products:
+        scale = sign * (den // d)
+        for k1, c1 in a.items():
+            c1 *= scale
+            for k2, c2 in b.items():
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+    poly = RationalPoly._trusted(nvars, terms, den)
+    if any(map(_guard(nvars).__and__, poly._terms)):
+        raise OverflowError(f"a product has an exponent above MAX_EXPONENT={MAX_EXPONENT}")
+    return poly
 
 
 def _float_evaluator(poly: RationalPoly):
@@ -339,11 +441,14 @@ def poisson_bracket(g: RationalPoly, h: RationalPoly) -> RationalPoly:
     """Exact canonical bracket ``sum_i (dg/dq^i dh/dp_i - dg/dp_i dh/dq^i)``."""
     g._require_same_vars(h)
     n = g.nvars // 2
-    terms: dict[Index, Fraction] = {}
+    dg = [_diff_terms(g._terms, i) for i in range(g.nvars)]
+    dh = [_diff_terms(h._terms, i) for i in range(h.nvars)]
+    den = g._den * h._den
+    products = []
     for i in range(n):
-        _mul_acc(terms, g.diff(i), h.diff(n + i))
-        _mul_acc(terms, g.diff(n + i), h.diff(i), -1)
-    return RationalPoly._trusted(g.nvars, terms)
+        products.append((1, dg[i], dh[n + i], den))
+        products.append((-1, dg[n + i], dh[i], den))
+    return _combine(g.nvars, products)
 
 
 def normalize_at(h: RationalPoly, m0=None) -> RationalPoly:
@@ -401,11 +506,11 @@ def field_omega(X: Sequence[RationalPoly], Y: Sequence[RationalPoly]) -> Rationa
     if _check_field(Y) != nvars:
         raise ValueError("fields live on different phase spaces")
     n = nvars // 2
-    terms: dict[Index, Fraction] = {}
+    products = []
     for i in range(n):
-        _mul_acc(terms, X[i], Y[n + i])
-        _mul_acc(terms, X[n + i], Y[i], -1)
-    return RationalPoly._trusted(nvars, terms)
+        products.append((1, X[i]._terms, Y[n + i]._terms, X[i]._den * Y[n + i]._den))
+        products.append((-1, X[n + i]._terms, Y[i]._terms, X[n + i]._den * Y[i]._den))
+    return _combine(nvars, products)
 
 
 def jacobi_lie_bracket(
@@ -417,11 +522,11 @@ def jacobi_lie_bracket(
         raise ValueError("fields live on different phase spaces")
     out = []
     for i in range(nvars):
-        terms: dict[Index, Fraction] = {}
+        products = []
         for j in range(nvars):
-            _mul_acc(terms, X[j], Y[i].diff(j))
-            _mul_acc(terms, Y[j], X[i].diff(j), -1)
-        out.append(RationalPoly._trusted(nvars, terms))
+            products.append((1, X[j]._terms, _diff_terms(Y[i]._terms, j), X[j]._den * Y[i]._den))
+            products.append((-1, Y[j]._terms, _diff_terms(X[i]._terms, j), Y[j]._den * X[i]._den))
+        out.append(_combine(nvars, products))
     return tuple(out)
 
 
@@ -507,13 +612,13 @@ def random_poly(
     Used by the verification suites and the property tests; exactness is
     unaffected by the distribution details.
     """
-    out: dict[Index, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for _ in range(terms):
         degree = rng.randint(0, max_degree)
         index = [0] * nvars
         for _ in range(degree):
             index[rng.randrange(nvars)] += 1
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        key = tuple(index)
+        key = _pack(index, nvars)
         out[key] = out.get(key, Fraction(0)) + coeff
-    return RationalPoly(nvars, out)
+    return RationalPoly._trusted(_checked_nvars(nvars), *_numerators(out))

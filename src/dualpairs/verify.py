@@ -432,7 +432,7 @@ def convergence_study(
 
 
 def filament_dt_study(
-    dts=(0.2, 0.1, 0.05), nodes: int = 64, t_final: float = 1.0, threshold: float = 1.0
+    dts=(0.2, 0.1, 0.05), nodes: int = 64, t_final: float = 1.0, threshold: float = 1.9
 ) -> list[CheckRow]:
     """Order, in the time step, of the step-induced part of the current drift.
 

@@ -147,7 +147,7 @@ def test_criterion_5_singular_solutions():
         and h_drift <= 1e-8
         and p_drift <= 1e-8
         and all(r.passed for r in dt_rows)
-        and dt_order >= 1.0
+        and dt_order >= 1.9
         and all(r.passed for r in res_rows)
         and res_order >= 1.9
         and repar_exact

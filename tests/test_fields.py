@@ -95,6 +95,28 @@ def test_field_values_are_read_only():
         f.values[0, 0, 0] = 9.9
 
 
+def test_fields_built_from_views_hold_c_ordered_copies():
+    src = GridSource("periodic", 6)
+    rng = np.random.default_rng(3)
+    transposed = rng.standard_normal((2, 6, 6)).transpose(1, 2, 0)
+    column = rng.standard_normal((6, 1, 2))
+    broadcast = np.broadcast_to(column, (6, 6, 2))
+    scalar_t = rng.standard_normal((6, 6)).T
+    scalar_b = np.broadcast_to(rng.standard_normal(6), (6, 6))
+    built = [
+        (MapField(src, transposed), transposed),
+        (TangentField(src, transposed), transposed),
+        (MapField(src, broadcast), broadcast),
+        (TangentField(src, broadcast), broadcast),
+        (StreamFunction(src, scalar_t), scalar_t),
+        (StreamFunction(src, scalar_b), scalar_b),
+    ]
+    for field, view in built:
+        assert not view.flags.c_contiguous
+        assert field.values.flags.c_contiguous
+        assert np.array_equal(field.values, view)
+
+
 # -- weighted integrals ----------------------------------------------------------
 
 

@@ -9,8 +9,14 @@ Three checks that do not trust the module's own fused formulas:
   ``field_omega`` and ``jacobi_lie_bracket``, kept only here, which the
   fused single-dict versions must equal exactly;
 * every polynomial the module builds without validation must hold no zero
-  coefficient and survive a rebuild through the validating constructor.
+  coefficient and survive a rebuild through the validating constructor;
+* a plain ``Fraction``-dict algebra on exponent tuples (``+``, ``*``,
+  ``diff``, the bracket and evaluation), kept only here, which the module's
+  packed-exponent, common-denominator results must equal term by term and
+  in the same order.
 """
+
+import operator
 
 import random
 from fractions import Fraction
@@ -20,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.polyalg import (
+    MAX_EXPONENT,
     RationalPoly,
     central_cocycle,
     cocycle_identity_residual,
@@ -191,7 +198,169 @@ def test_built_results_are_clean(ghk, c):
         assert_clean(p)
 
 
+# -- Fraction-dict oracle on exponent tuples ---------------------------------------
+#
+# Terms are ``(index, Fraction)`` lists; a result keeps the order in which
+# its indices first appeared and drops zeros at the end, which fixes the
+# order ``items()`` must reproduce.
+
+wide_coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+
+
+def term_dicts(nvars, max_exponent=3, max_terms=5):
+    index = st.tuples(*[st.integers(0, max_exponent)] * nvars)
+    return st.dictionaries(index, wide_coefficients, max_size=max_terms)
+
+
+def oracle_pairs():
+    return st.sampled_from((2, 4)).flatmap(
+        lambda nvars: st.tuples(
+            term_dicts(nvars), term_dicts(nvars), st.tuples(*[wide_coefficients] * nvars)
+        )
+    )
+
+
+def nonzero(acc):
+    return [(ix, c) for ix, c in acc.items() if c]
+
+
+def oracle_add(a, b):
+    acc = dict(a)
+    for ix, c in b:
+        acc[ix] = acc.get(ix, 0) + c
+    return nonzero(acc)
+
+
+def oracle_mul_acc(acc, a, b, sign=1):
+    for ix1, c1 in a:
+        for ix2, c2 in b:
+            ix = tuple(map(operator.add, ix1, ix2))
+            acc[ix] = acc.get(ix, 0) + sign * c1 * c2
+    return acc
+
+
+def oracle_mul(a, b):
+    return nonzero(oracle_mul_acc({}, a, b))
+
+
+def oracle_diff(a, i):
+    out = []
+    for ix, c in a:
+        if ix[i]:
+            down = list(ix)
+            down[i] -= 1
+            out.append((tuple(down), c * ix[i]))
+    return out
+
+
+def oracle_poisson_bracket(g, h, nvars):
+    n = nvars // 2
+    acc = {}
+    for i in range(n):
+        oracle_mul_acc(acc, oracle_diff(g, i), oracle_diff(h, n + i))
+        oracle_mul_acc(acc, oracle_diff(g, n + i), oracle_diff(h, i), -1)
+    return nonzero(acc)
+
+
+def oracle_evaluate(a, point):
+    total = Fraction(0)
+    for ix, c in a:
+        for x, e in zip(point, ix):
+            c *= x**e
+        total += c
+    return total
+
+
+def assert_matches(poly, terms):
+    """Equal to the oracle's terms, in order, with only nonzero Fractions."""
+    assert list(poly.items()) == terms
+    assert all(type(c) is Fraction and c != 0 for _, c in poly.items())
+    assert poly == RationalPoly(poly.nvars, dict(terms))
+
+
+@PROPERTY
+@given(oracle_pairs())
+def test_results_equal_the_fraction_oracle_in_order(abm):
+    a_terms, b_terms, point = abm
+    nvars = len(point)
+    a, b = RationalPoly(nvars, a_terms), RationalPoly(nvars, b_terms)
+    a_list, b_list = nonzero(a_terms), nonzero(b_terms)
+    assert_matches(a, a_list)
+    assert_matches(a + b, oracle_add(a_list, b_list))
+    assert_matches(a - b, oracle_add(a_list, [(ix, -c) for ix, c in b_list]))
+    assert_matches(a * b, oracle_mul(a_list, b_list))
+    assert_matches(a * point[0], nonzero({ix: c * point[0] for ix, c in a_list}))
+    for i in range(nvars):
+        assert_matches(a.diff(i), oracle_diff(a_list, i))
+    assert_matches(poisson_bracket(a, b), oracle_poisson_bracket(a_list, b_list, nvars))
+    assert_matches(poisson_bracket(a * b, a), oracle_poisson_bracket(
+        oracle_mul(a_list, b_list), a_list, nvars))
+    for m in (point, (0,) * nvars):
+        assert a.evaluate(m) == oracle_evaluate(a_list, m)
+        assert (a * b).evaluate(m) == oracle_evaluate(oracle_mul(a_list, b_list), m)
+    for ix, c in a_list:
+        assert a.coefficient(ix) == c
+    assert a.degree() == max((sum(ix) for ix, _ in a_list), default=-1)
+
+
+def test_canonical_form_across_denominators():
+    x, y = RationalPoly.variable(0, 2), RationalPoly.variable(1, 2)
+    half = x * Fraction(1, 2)
+    assert half * 2 == x and hash(half * 2) == hash(x)
+    assert (x * Fraction(1, 6)) * 3 == x * Fraction(1, 2)
+    a = x * Fraction(1, 3) + y * Fraction(1, 5)
+    b = x * Fraction(2, 3) - y * Fraction(1, 5) + Fraction(1, 7)
+    total = a + b
+    assert total == x + Fraction(1, 7) and hash(total) == hash(x + Fraction(1, 7))
+    assert list(total.items()) == [((1, 0), Fraction(1)), ((0, 0), Fraction(1, 7))]
+    assert a - a == 0 and hash(a - a) == hash(0)
+    assert (a + b - x) == Fraction(1, 7) and hash(a + b - x) == hash(Fraction(1, 7))
+    # A product over coprime denominators whose numerators cancel down.
+    assert (x * Fraction(3, 4)) * (y * Fraction(2, 9)) == x * y * Fraction(1, 6)
+
+
+def test_evaluate_at_a_point_with_mixed_denominators():
+    terms = {
+        (3, 0, 1, 2): Fraction(5, 6),
+        (0, 2, 0, 0): Fraction(-7, 4),
+        (1, 1, 1, 1): Fraction(2, 15),
+        (0, 0, 0, 0): Fraction(9, 11),
+        (0, 0, 4, 0): Fraction(-1, 2),
+    }
+    poly = RationalPoly(4, terms)
+    point = (Fraction(1, 3), Fraction(-5, 7), Fraction(2), Fraction(11, 4))
+    expected = oracle_evaluate(list(terms.items()), point)
+    value = poly.evaluate(point)
+    assert type(value) is Fraction and value == expected
+    assert poly.evaluate((0, 0, 0, 0)) == Fraction(9, 11)
+    assert poly.evaluate((0, Fraction(1, 2), 0, 0)) == Fraction(9, 11) - Fraction(7, 16)
+    assert RationalPoly.zero(4).evaluate(point) == 0
+
+
+def test_overflow_guard_raises_instead_of_carrying():
+    x, y = RationalPoly.variable(0, 2), RationalPoly.variable(1, 2)
+    top = RationalPoly(2, {(MAX_EXPONENT, 0): Fraction(1)})
+    assert top.degree() == MAX_EXPONENT
+    assert (top * y).coefficient((MAX_EXPONENT, 1)) == 1
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        y * RationalPoly(2, {(0, MAX_EXPONENT): Fraction(1, 3)}) * y
+    # {q^M p^2, q^2 p} = (M - 4) q^(M+1) p^2 must not read as q^0 p^3.
+    g = RationalPoly(2, {(MAX_EXPONENT, 2): Fraction(1)})
+    with pytest.raises(OverflowError):
+        poisson_bracket(g, x * x * y)
+    # Terms past the limit that cancel inside one result leave it exact:
+    # {g, g} sums two q^(2M-1) p^3 products of opposite sign.
+    assert poisson_bracket(g, g).is_zero()
+
+
 def test_validating_constructor_rejects_bad_input():
+    assert RationalPoly(4, {(0, MAX_EXPONENT, 0, 1): Fraction(1)}).degree() == MAX_EXPONENT + 1
+    assert RationalPoly(2, {(1, 0): 1}).coefficient((MAX_EXPONENT + 1, 0)) == 0
+    for past_a_field in ((0, MAX_EXPONENT + 1, 0, 0), (2**16, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            RationalPoly(4, {past_a_field: Fraction(1)})
     with pytest.raises(ValueError):
         RationalPoly(2, {(1,): Fraction(1)})
     with pytest.raises(ValueError):
