@@ -231,11 +231,16 @@ def _cmd_converge(opt: dict) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_INVARIANT
 
 
-def _require_pair_budget(count: int) -> None:
+def _require_pair_budget(count: int, kernel: KernelSpec) -> None:
+    """One evaluation touches A^2 pairs with the gaussian kernel and A with the exp1d scan."""
+    if kernel.family == "exp1d":
+        pairs, most = count, peakons.MAX_PAIRS
+    else:
+        pairs, most = count * count, math.isqrt(peakons.MAX_PAIRS)
     _require(
-        count * count <= peakons.MAX_PAIRS,
-        f"{count} points need {count * count} kernel pairs, over the limit of "
-        f"{peakons.MAX_PAIRS} (peakons.MAX_PAIRS, at most {math.isqrt(peakons.MAX_PAIRS)} points)",
+        pairs <= peakons.MAX_PAIRS,
+        f"{count} points need {pairs} kernel pairs with the {kernel.family} kernel, over the "
+        f"limit of {peakons.MAX_PAIRS} (peakons.MAX_PAIRS, at most {most} points)",
     )
 
 
@@ -243,8 +248,8 @@ def _build_peakon_state(opt: dict):
     if opt["filament"]:
         _require(opt["nodes"] >= 3, "filament runs need at least 3 nodes")
         _require(opt["radius"] > 0.0, "radius must be positive")
-        _require_pair_budget(opt["nodes"])
         kernel = KernelSpec(opt["kernel"] or "gaussian", opt["alpha"])
+        _require_pair_budget(opt["nodes"], kernel)
         s = np.arange(opt["nodes"]) / opt["nodes"]
         ang = 2.0 * np.pi * s
         q = opt["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -253,9 +258,9 @@ def _build_peakon_state(opt: dict):
         return FilamentState(q, p, kernel)
     _require(opt["n"] >= 1, "n must be >= 1")
     _require(opt["dim"] >= 1, "dim must be >= 1")
-    _require_pair_budget(opt["n"])
     default_kernel = "exp1d" if opt["dim"] == 1 else "gaussian"
     kernel = KernelSpec(opt["kernel"] or default_kernel, opt["alpha"])
+    _require_pair_budget(opt["n"], kernel)
     count, dim = opt["n"], opt["dim"]
     q = np.zeros((count, dim))
     p = np.zeros((count, dim))

@@ -16,17 +16,22 @@ action.
 Time stepping reuses the canonical integrators: in the rescaled variables
 ``(Q, P w)`` the equations are canonical with this Hamiltonian, so the
 implicit midpoint rule is symplectic for them.
+
+With the exp1d kernel every pair sum is one sorted scan, O(A log A) per
+state instead of O(A^2): after sorting the positions, the sums of
+``pt_b e^{-|x_a - x_b| / alpha}`` over the points strictly left of each
+point follow a first-order recurrence whose factors are all at most 1, the
+strictly-right sums mirror it, and tied positions share their group total.
+The gaussian kernel sums all A^2 pairs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import format_float
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -200,9 +205,11 @@ class FilamentState(SingularState):
 # O(A^2) whatever the number of steps.
 _BLOCK_PAIRS = 1 << 16
 
-# The most kernel pairs A^2 a peakon run may ask for (A = 4096).  A field
-# evaluation holds d + 2 float arrays of A^2 entries, about 0.5 GB at this
-# bound in two dimensions; the CLI refuses larger runs before building them.
+# The most kernel pairs a peakon run may ask for: A^2 with the gaussian
+# kernel (A = 4096) and A with exp1d, whose scan touches each point a
+# constant number of times.  A gaussian field evaluation holds d + 2 float
+# arrays of A^2 entries, about 0.5 GB at this bound in two dimensions; the
+# CLI refuses larger runs before building them.
 MAX_PAIRS = 1 << 24
 
 
@@ -222,8 +229,67 @@ def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array(sums).reshape(terms.shape[:-1])
 
 
+def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
+    """``dH/dq`` then ``dH/dpt`` of the exp1d H at one state, as 2A floats.
+
+    ``x`` and ``pt`` are the positions and canonical momenta ``P w``.  In
+    sorted order, the strictly-left sums ``L_a`` of ``pt_b e^{-(x_a - x_b) / alpha}``
+    follow ``L_a = e^{-(x_a - x_{a-1}) / alpha} (L_{a-1} + T_{a-1})``, where
+    ``T`` is the total of a group of tied positions, and the strictly-right
+    sums ``R_a`` mirror them.  Then ``dH/dpt_a = (L_a + R_a + T_a) / (2 alpha)``
+    and ``dH/dq_a = -pt_a (L_a - R_a) / (2 alpha^2)``, so tied points exert
+    no force on each other (``G'(0) = 0``).  A non-finite position makes
+    every entry NaN.
+    """
+    a = len(x)
+    if not all(map(math.isfinite, x)):
+        return [math.nan] * (2 * a)
+    order = sorted(range(a), key=x.__getitem__)
+    xs = [x[i] for i in order]
+    ps = [pt[i] for i in order]
+    left = [0.0] * a
+    total = [0.0] * a
+    decay = [1.0] * a
+    carry, group, start = 0.0, ps[0], 0
+    for i in range(1, a):
+        if xs[i] != xs[i - 1]:
+            f = decay[i] = math.exp((xs[i - 1] - xs[i]) / alpha)
+            total[start:i] = [group] * (i - start)
+            carry = f * (carry + group)
+            group, start = ps[i], i
+        else:
+            group += ps[i]
+        left[i] = carry
+    total[start:] = [group] * (a - start)
+    right = [0.0] * a
+    carry = 0.0
+    for i in range(a - 1, 0, -1):
+        if xs[i] != xs[i - 1]:
+            carry = decay[i] * (carry + total[i])
+        right[i - 1] = carry
+    out = [0.0] * (2 * a)
+    two_alpha, two_alpha2 = 2.0 * alpha, 2.0 * alpha * alpha
+    for j, p, l, r, t in zip(order, ps, left, right, total):
+        out[j] = -p * (l - r) / two_alpha2
+        out[a + j] = (l + r + t) / two_alpha
+    return out
+
+
+def _exp1d_energy(x: list, pt: list, alpha: float) -> float:
+    """The exp1d H at one state: ``1/2 sum_a pt_a dH/dpt_a``, O(A) after the scan."""
+    field = _exp1d_scan(x, pt, alpha)[len(x) :]
+    return 0.5 * math.fsum([p * f for p, f in zip(pt, field)])
+
+
+def _exp1d_state_energy(q: np.ndarray, p: np.ndarray, w: np.ndarray, alpha: float) -> float:
+    """``_exp1d_energy`` of (A, 1) positions and covectors with masses ``w``."""
+    return _exp1d_energy(q[:, 0].tolist(), (p[:, 0] * w).tolist(), alpha)
+
+
 def collective_hamiltonian(st: SingularState) -> float:
     """``1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b`` (order-independent sum)."""
+    if st.kernel.family == "exp1d":
+        return _exp1d_state_energy(st.q, st.p, st.weights, st.kernel.alpha)
     return 0.5 * math.fsum(_pair_terms(st.kernel, st.q, st.p, st.weights).ravel())
 
 
@@ -256,6 +322,8 @@ def _collective_observable(template: SingularState) -> Observable:
     """
     a, d = template.count, template.dim
     k = template.kernel
+    if k.family == "exp1d":
+        return _exp1d_observable(a, k.alpha)
     unit = np.ones(a)
 
     def split(z: np.ndarray):
@@ -277,6 +345,21 @@ def _collective_observable(template: SingularState) -> Observable:
         return np.concatenate(
             [dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1
         )
+
+    return Observable(value, gradient, name="collective")
+
+
+def _exp1d_observable(a: int, alpha: float) -> Observable:
+    """The exp1d H of ``(x, pt)`` with its gradient, one sorted scan per row."""
+
+    def rows(z: np.ndarray, fn) -> list:
+        return [fn(row[:a], row[a:], alpha) for row in z.reshape(-1, 2 * a).tolist()]
+
+    def value(z: np.ndarray):
+        return np.array(rows(z, _exp1d_energy)).reshape(z.shape[:-1])
+
+    def gradient(z: np.ndarray):
+        return np.array(rows(z, _exp1d_scan)).reshape(z.shape)
 
     return Observable(value, gradient, name="collective")
 
@@ -306,11 +389,15 @@ class Trajectory:
         return SingularState(self.q[i], self.p[i], self.kernel, self.weights)
 
     def hamiltonians(self) -> np.ndarray:
-        """``collective_hamiltonian`` at each time, evaluated in blocks of rows.
+        """``collective_hamiltonian`` at each time: one scan per row for exp1d,
+        gaussian pair terms in blocks of rows.
 
         The pair terms are bitwise symmetric, so the ``fsum`` of the doubled
         strict upper triangle and the diagonal is exactly the full-matrix one.
         """
+        if self.kernel.family == "exp1d":
+            w, alpha = self.weights, self.kernel.alpha
+            return np.array([_exp1d_state_energy(q, p, w, alpha) for q, p in zip(self.q, self.p)])
         a = self.q.shape[1]
         rows = max(1, _BLOCK_PAIRS // (a * a))
         upper = np.triu(np.ones((a, a), dtype=bool), 1)
@@ -455,15 +542,14 @@ def write_trajectory_csv(path, traj: Trajectory) -> np.ndarray:
     energies = traj.hamiltonians()
     momenta = traj.total_momenta()
     drifts = traj.jr_drifts()
+    flat = (len(traj), a * d)
+    # one format call per row, converted row by row: "%.17g" is format_float's format
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    rows = zip(traj.times, traj.q.reshape(flat), traj.p.reshape(flat), energies, momenta, drifts)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(len(traj)):
-            row = [format_float(traj.times[i])]
-            row += [format_float(x) for x in traj.q[i].ravel()]
-            row += [format_float(x) for x in traj.p[i].ravel()]
-            row.append(format_float(energies[i]))
-            row += [format_float(x) for x in momenta[i]]
-            row.append(format_float(drifts[i]))
-            writer.writerow(row)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(
+            line % (t, *q.tolist(), *p.tolist(), h, *m.tolist(), drift)
+            for t, q, p, h, m, drift in rows
+        )
     return energies

@@ -47,6 +47,21 @@ def test_verify_reports_invariant_failure(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("seed", [52, 83])
+def test_verify_divergent_flow_fails_its_row_only(capsys, tmp_path, seed):
+    # these seeds draw a cubic whose midpoint solve at dt 0.05 fails at step 2
+    path = tmp_path / "report.csv"
+    code, out, err = run(
+        capsys, "verify", "--suite", "numeric", "--grid", "16", "--seed", str(seed), "--out", str(path)
+    )
+    assert code == 1
+    assert "action-commutation: numeric divergence at step 2" in err
+    assert out.strip().splitlines()[-1] == "19/20 checks passed"
+    rows = read_rows(path)[1:]
+    assert len(rows) == 20
+    assert [r for r in rows if r[4] == "false"] == [["action-commutation", "16", "inf", "", "false"]]
+
+
 def test_verify_writes_report_csv(capsys, tmp_path):
     path = tmp_path / "report.csv"
     code, _, _ = run(capsys, "verify", "--suite", "exact", "--count", "10", "--out", str(path))
@@ -194,7 +209,7 @@ def test_peakon_rejects_non_finite_numbers(capsys, tmp_path, flag, value):
     assert "must be finite" in err
 
 
-@pytest.mark.parametrize("argv", [["--filament", "--nodes", "11"], ["--n", "11"]])
+@pytest.mark.parametrize("argv", [["--filament", "--nodes", "11"], ["--n", "11", "--dim", "2"]])
 def test_peakon_refuses_runs_over_the_pair_budget(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(peakons, "MAX_PAIRS", 100)
     path = tmp_path / "big.csv"
@@ -213,6 +228,34 @@ def test_peakon_runs_at_the_pair_budget(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(read_rows(path)) == 1 + 2
+
+
+def test_exp1d_runs_count_one_pair_per_point(capsys, tmp_path, monkeypatch):
+    # the exp1d scan touches each point a constant number of times, so A, not A^2, meets the budget
+    monkeypatch.setattr(peakons, "MAX_PAIRS", 100)
+    steps = ("--t-final", "0.01", "--dt", "0.01")
+    path = tmp_path / "fits.csv"
+    code, _, _ = run(capsys, "peakon", "--n", "11", *steps, "--out", str(path))
+    assert code == 0
+    assert len(read_rows(path)) == 1 + 2
+    path = tmp_path / "big.csv"
+    code, _, err = run(capsys, "peakon", "--n", "101", *steps, "--out", str(path))
+    assert code == 2
+    assert "101 kernel pairs with the exp1d kernel" in err and "MAX_PAIRS" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+def test_exp1d_overflow_is_numeric_divergence(capsys, tmp_path, method):
+    # overflowing positions reach the scan as inf and NaN; it must answer NaN, never raise
+    path = tmp_path / "overflow.csv"
+    code, _, err = run(
+        capsys, "peakon", "--method", method, "--dim", "1", "--n", "3", "--alpha", "0.01",
+        "--p", "1e200", "--dt", "1", "--t-final", "3", "--out", str(path),
+    )
+    assert code == 4
+    assert "numeric divergence at step" in err
+    assert not path.exists()
 
 
 def test_peakon_reads_no_seed(capsys, tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dualpairs.fields import format_float
 from dualpairs.peakons import (
     FilamentState,
     FlowSpec,
@@ -229,6 +230,116 @@ def test_fused_gradient_matches_einsum_reference(family, dim, alpha):
     assert np.array_equal(batch[1], _collective_observable(st).gradient(other))
 
 
+# -- the exp1d scan against the dense pair sums ----------------------------------
+
+
+def _reference_energy(st):
+    """Dense exp1d H: ``1/2 sum_ab pt_a pt_b G(x_a - x_b)`` over all A^2 pairs, and the sum of |terms|."""
+    pt = st.p[:, 0] * st.weights
+    x = st.q[:, 0]
+    terms = np.outer(pt, pt) * np.exp(-np.abs(x[:, None] - x[None, :]) / st.kernel.alpha)
+    terms /= 2.0 * st.kernel.alpha
+    return 0.5 * math.fsum(terms.ravel()), 0.5 * math.fsum(np.abs(terms).ravel())
+
+
+def _exp1d_state(seed, count, alpha, spread=1.0, ties=True):
+    rng = np.random.default_rng(seed)
+    q = spread * rng.normal(size=(count, 1))
+    if ties and count >= 12:
+        q[3] = q[0]  # a tied pair
+        q[9] = q[8] = q[5]  # a tied triple
+    return SingularState(q, rng.normal(size=(count, 1)), KernelSpec("exp1d", alpha), rng.uniform(0.2, 3.0, count))
+
+
+def _assert_matches_dense(st, tol=1e-12):
+    z = _canonical_point(st)
+    scan = _collective_observable(st).gradient(z)
+    reference = _reference_gradient(st, z)
+    assert np.max(np.abs(scan - reference)) <= tol * np.max(np.abs(reference))
+    h, size = _reference_energy(st)
+    assert abs(collective_hamiltonian(st) - h) <= tol * size
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+@pytest.mark.parametrize("count", [1, 2, 3, 12, 97, 512])
+def test_exp1d_scan_matches_dense_sums(count, alpha):
+    _assert_matches_dense(_exp1d_state(count, count, alpha))
+
+
+def test_exp1d_scan_ties_keep_the_flat_crest_convention():
+    k = KernelSpec("exp1d", 0.7)
+    q = np.array([[0.3], [-1.0], [0.3], [2.0], [0.3], [-1.0]])  # a tied triple and a tied pair
+    p = np.array([[1.0], [-2.0], [0.5], [0.25], [-3.0], [4.0]])
+    st = SingularState(q, p, k, np.array([0.5, 1.0, 2.0, 1.5, 0.25, 3.0]))
+    _assert_matches_dense(st)
+    # tied points share one field value: they move together
+    dq, _ = rhs(st)
+    assert dq[0, 0] == dq[2, 0] == dq[4, 0] and dq[1, 0] == dq[5, 0]
+
+
+def test_exp1d_scan_underflows_across_wide_gaps():
+    # clusters 1500 alpha apart: e^-1500 underflows to 0, so the clusters do not see each other
+    alpha = 0.7
+    rng = np.random.default_rng(41)
+    q = np.concatenate([rng.normal(size=20) + c * 1500.0 * alpha for c in range(3)])[:, None]
+    st = SingularState(q, rng.normal(size=(60, 1)), KernelSpec("exp1d", alpha), rng.uniform(0.5, 2.0, 60))
+    assert float(np.ptp(q)) > 1000.0 * alpha
+    _assert_matches_dense(st)
+    alone = SingularState(q[:20], st.p[:20], st.kernel, st.weights[:20])
+    _, dp = rhs(st)
+    assert np.array_equal(dp[:20], rhs(alone)[1])
+
+
+def test_exp1d_batch_rows_equal_single_rows_bitwise():
+    obs = _collective_observable(_exp1d_state(3, 40, 0.7))
+    one = _canonical_point(_exp1d_state(3, 40, 0.7))
+    two = _canonical_point(_exp1d_state(4, 40, 0.7))
+    batch = np.stack([one, two])
+    grads = obs.gradient(batch)
+    values = obs.value(batch)
+    assert grads.shape == (2, 80) and values.shape == (2,)
+    for i, z in enumerate((one, two)):
+        assert np.array_equal(grads[i], obs.gradient(z))
+        assert values[i] == obs.value(z)
+
+
+def test_exp1d_hamiltonians_equal_per_state_values_bitwise():
+    st = _exp1d_state(8, 16, 1.0, spread=3.0)
+    traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 30))
+    h = traj.hamiltonians()
+    assert h.shape == (31,)
+    for i in range(len(traj)):
+        assert collective_hamiltonian(traj.state_at(i)) == h[i]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp1d_non_finite_positions_give_a_non_finite_field(bad):
+    st = _exp1d_state(5, 12, 1.0)
+    z = _canonical_point(st)
+    z[4] = bad
+    z[7] = -z[7]  # finite neighbours out of order around the bad point
+    obs = _collective_observable(st)
+    assert np.isnan(obs.gradient(z)).all()
+    assert np.isnan(obs.value(z))
+
+
+def test_exp1d_scan_at_a_hundred_thousand_points():
+    # random nonzero momenta at every point; the dense sum is taken for a few points only
+    count, alpha = 100_000, 1.0
+    rng = np.random.default_rng(2)
+    q = np.sort(rng.uniform(-2000.0, 2000.0, count))
+    pt = rng.uniform(0.5, 1.5, count) * rng.choice([-1.0, 1.0], count)
+    z = np.concatenate([q, pt])
+    st = SingularState(q[:, None], pt[:, None], KernelSpec("exp1d", alpha))
+    grad = _collective_observable(st).gradient(z)
+    for a in rng.choice(count, 16, replace=False):
+        g = np.exp(-np.abs(q[a] - q) / alpha) / (2.0 * alpha)
+        field = g * pt
+        slope = -np.sign(q[a] - q) / alpha * pt[a] * field
+        assert abs(grad[count + a] - field.sum()) <= 1e-12 * np.abs(field).sum()
+        assert abs(grad[a] - slope.sum()) <= 1e-12 * np.abs(slope).sum()
+
+
 def test_exp1d_coincident_points_feel_no_mutual_force():
     k = KernelSpec("exp1d", 1.0)
     st = SingularState(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), k)
@@ -371,6 +482,45 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(rows) == 1 + 5
     assert rows[1][0] == "0"
     assert float(rows[-1][0]) == pytest.approx(0.5, abs=1e-15)
+
+
+def _old_trajectory_csv(path, traj, energies, momenta, drifts):
+    """The writer as first written: ``format_float`` per value, rows through ``csv.writer``."""
+    a, d = traj.q.shape[1], traj.q.shape[2]
+    header = (
+        ["t"] + [f"q_{i + 1}" for i in range(a * d)] + [f"p_{i + 1}" for i in range(a * d)]
+        + ["H"] + [f"Ptot_{i + 1}" for i in range(d)] + ["jr_drift"]
+    )
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i in range(len(traj)):
+            row = [format_float(traj.times[i])]
+            row += [format_float(x) for x in traj.q[i].ravel()]
+            row += [format_float(x) for x in traj.p[i].ravel()]
+            row.append(format_float(energies[i]))
+            row += [format_float(x) for x in momenta[i]]
+            row.append(format_float(drifts[i]))
+            writer.writerow(row)
+
+
+def test_trajectory_csv_bytes_match_the_per_value_writer(tmp_path, monkeypatch):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308,
+               1.0 / 3.0, -1e300, 123456789.0, 0.1]
+    rng = np.random.default_rng(19)
+    rows = 40
+
+    def pick(*shape):
+        return rng.choice(special, size=shape)
+
+    traj = Trajectory(pick(rows), pick(rows, 3, 2), pick(rows, 3, 2), np.ones(3), KernelSpec("gaussian", 1.0))
+    energies, momenta, drifts = pick(rows), pick(rows, 2), pick(rows)
+    monkeypatch.setattr(Trajectory, "hamiltonians", lambda self: energies)
+    monkeypatch.setattr(Trajectory, "total_momenta", lambda self: momenta)
+    monkeypatch.setattr(Trajectory, "jr_drifts", lambda self: drifts)
+    write_trajectory_csv(tmp_path / "new.csv", traj)
+    _old_trajectory_csv(tmp_path / "old.csv", traj, energies, momenta, drifts)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_state_at_round_trips_type():
