@@ -164,21 +164,18 @@ def covector_pairing(cov: CovectorField, v) -> float:
 def momentum_function(x_field: VectorField) -> Observable:
     """The observable ``(x, p) -> <p, X(x)>`` on R^(2d).
 
-    Its gradient is assembled from X and its Jacobian when one is present;
-    otherwise the observable falls back to finite differences.
+    Its gradient is assembled from X and its Jacobian; evaluating it for a
+    field without a Jacobian raises ``ValueError``.
     """
     d = x_field.dim
 
     def value(z: np.ndarray):
         return np.einsum("...i,...i->...", z[..., d:], x_field(z[..., :d]))
 
-    gradient = None
-    if x_field.jac is not None:
-
-        def gradient(z: np.ndarray):
-            x, p = z[..., :d], z[..., d:]
-            gx = np.einsum("...ij,...i->...j", x_field.jacobian(x), p)
-            return np.concatenate([gx, x_field(x)], axis=-1)
+    def gradient(z: np.ndarray):
+        x, p = z[..., :d], z[..., d:]
+        gx = np.einsum("...ij,...i->...j", x_field.jacobian(x), p)
+        return np.concatenate([gx, x_field(x)], axis=-1)
 
     return Observable(value, gradient, name=f"momentum[{x_field.name or 'X'}]")
 

@@ -27,14 +27,15 @@ import traceback
 
 import numpy as np
 
-from . import datagen, peakons, verify
+from . import datagen, fields, peakons, verify
 from .errors import SolverDivergenceError
 from .fields import (
     GridSource,
+    averaged_momentum_pair,
+    cell_average,
     format_float,
     left_act,
     nodewise_linear,
-    right_momentum_pair,
 )
 from .peakons import (
     FilamentState,
@@ -198,6 +199,7 @@ def _cmd_verify(opt: dict) -> int:
     _require(opt["suite"] in SUITES, f"suite must be one of {SUITES}, got {opt['suite']!r}")
     _require(opt["count"] >= 1, "count must be >= 1")
     _require(opt["grid"] >= 4, "grid must be >= 4")
+    _require_grid_budget(opt["grid"])
     _require(opt["tol"] is None or opt["tol"] > 0.0, "tol must be positive")
     rows = []
     if opt["suite"] in ("exact", "all"):
@@ -221,6 +223,8 @@ def _cmd_converge(opt: dict) -> int:
             f"op must be one of {verify.CONVERGENCE_OPS + ('all',)}, got {op!r}",
         )
     _require(opt["threshold"] > 0.0, "threshold must be positive")
+    for grid in opt["grids"]:
+        _require_grid_budget(grid)
     rows = []
     for op in ops:
         study = verify.convergence_study(op, opt["grids"], opt["seed"], opt["threshold"])
@@ -229,6 +233,15 @@ def _cmd_converge(opt: dict) -> int:
     if opt["out"]:
         _write_rows_csv(opt["out"], rows)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_INVARIANT
+
+
+def _require_grid_budget(grid: int) -> None:
+    """Every CLI grid is periodic, with grid^2 nodes."""
+    _require(
+        grid * grid <= fields.MAX_NODES,
+        f"grid {grid} needs {grid * grid} nodes, over the limit of {fields.MAX_NODES} "
+        f"(fields.MAX_NODES, at most grid {math.isqrt(fields.MAX_NODES)})",
+    )
 
 
 def _require_pair_budget(count: int, kernel: KernelSpec) -> None:
@@ -288,13 +301,25 @@ def _cmd_peakon(opt: dict) -> int:
 
 
 def _swirl_observable() -> Observable:
+    """``h = |z|^4 / 4`` on R^2, with gradient ``|z|^2 z``."""
+
+    def radius2(z):
+        # q*q + p*p is einsum("...i,...i->...", z, z) bit for bit: q*q is never -0.0
+        q, p = z[..., 0], z[..., 1]
+        r2 = q * q
+        r2 += p * p
+        return r2
+
     def value(z):
-        r2 = np.einsum("...i,...i->...", z, z)
+        r2 = radius2(z)
         return 0.25 * r2 * r2
 
     def gradient(z):
-        r2 = np.einsum("...i,...i->...", z, z)
-        return r2[..., None] * z
+        r2 = radius2(z)
+        g = np.empty_like(z)
+        np.multiply(r2, z[..., 0], out=g[..., 0])
+        np.multiply(r2, z[..., 1], out=g[..., 1])
+        return g
 
     return Observable(value, gradient, name="swirl")
 
@@ -302,6 +327,7 @@ def _swirl_observable() -> Observable:
 def _cmd_advect(opt: dict) -> int:
     _require(opt["flow"] in FLOWS, f"flow must be one of {FLOWS}, got {opt['flow']!r}")
     _require(opt["grid"] >= 4, "grid must be >= 4")
+    _require_grid_budget(opt["grid"])
     _require(opt["steps"] >= 0, "steps must be >= 0")
     _require(opt["dt"] > 0.0, "dt must be positive")
     _require(opt["amplitude"] > 0.0, "amplitude must be positive")
@@ -319,7 +345,8 @@ def _cmd_advect(opt: dict) -> int:
         swirl = _swirl_observable()
         spec = FlowSpec("implicit-midpoint", dt, 1)
         step = lambda g: left_act(g, swirl, spec)
-    j0 = right_momentum_pair(f, alpha)
+    abar = cell_average(src, alpha.values)
+    j0 = averaged_momentum_pair(f, abar)
     scale = max(1.0, abs(j0))
     records = [(0.0, j0, 0.0)]
     for k in range(opt["steps"]):
@@ -329,7 +356,7 @@ def _cmd_advect(opt: dict) -> int:
             # renumber: the solver sees one step per advection step
             raise SolverDivergenceError(k) from None
         with np.errstate(over="ignore", invalid="ignore"):
-            jk = right_momentum_pair(f, alpha)
+            jk = averaged_momentum_pair(f, abar)
         if not math.isfinite(jk):
             # the step "converged" onto a runaway branch of the implicit equation
             raise SolverDivergenceError(k)

@@ -35,6 +35,7 @@ __all__ = [
     "MapField",
     "StreamFunction",
     "TangentField",
+    "averaged_momentum_pair",
     "cell_average",
     "equivariance_residual",
     "fiber_pairing",
@@ -56,6 +57,12 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("periodic", "patch")
+
+# Largest node count the CLI builds a grid for (a 2048 x 2048 periodic grid).
+# An advect run peaks at about eight node arrays of its two-dimensional
+# target, near 0.5 GB at this bound; the CLI refuses larger grids before
+# building them.
+MAX_NODES = 1 << 22
 
 
 # Arrays below this size go straight to ``math.fsum``, which is faster there.
@@ -390,19 +397,76 @@ def right_generator(f: MapField, alpha: StreamFunction) -> TangentField:
 # -- pullbacks and the cell quadrature ---------------------------------------
 
 
-def _cell_corners(source: GridSource, values: np.ndarray):
-    """Stacks (v00, v10, v01, v11) of cell-corner samples, each cell_shape-shaped.
+def _wrapped(source: GridSource, values: np.ndarray) -> np.ndarray:
+    """Node values whose rows i, i+1 and columns j, j+1 are the corners of cell (i, j).
 
-    A periodic grid is first wrap-padded by one node row and column, so both
-    topologies take the same four slices.
+    That is the node array itself on a patch; a periodic grid is first
+    wrap-padded by one node row and column.
     """
-    if source.topology == "periodic":
-        padded = np.empty((source.n + 1, source.n + 1) + values.shape[2:])
-        padded[:-1, :-1] = values
-        padded[-1, :-1] = values[0]
-        padded[:, -1] = padded[:, 0]
-        values = padded
-    return values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]
+    if source.topology != "periodic":
+        return values
+    padded = np.empty((source.n + 1, source.n + 1) + values.shape[2:])
+    padded[:-1, :-1] = values
+    padded[-1, :-1] = values[0]
+    padded[:, -1] = padded[:, 0]
+    return padded
+
+
+def _corners(wrapped: np.ndarray):
+    """Stacks (v00, v10, v01, v11) of cell-corner samples of a wrapped node array."""
+    return wrapped[:-1, :-1], wrapped[1:, :-1], wrapped[:-1, 1:], wrapped[1:, 1:]
+
+
+def _cell_corners(source: GridSource, values: np.ndarray):
+    """Stacks (v00, v10, v01, v11) of cell-corner samples, each cell_shape-shaped."""
+    return _corners(_wrapped(source, values))
+
+
+# Cells per block of the pullback: the block-sized temporaries of its
+# differences (about 2**14 doubles each) then stay in the CPU cache.
+_BLOCK_CELLS = 1 << 14
+
+
+def _edge_differences(wrapped: np.ndarray, two_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-averaged corner differences of a wrapped node scalar along s1 and s2."""
+    v00, v10, v01, v11 = _corners(wrapped)
+    d1 = v10 - v00
+    d1 += v11 - v01
+    d1 /= two_h
+    d2 = v01 - v00
+    d2 += v11 - v10
+    d2 /= two_h
+    return d1, d2
+
+
+def _pullback_density(f: MapField) -> np.ndarray:
+    """Cell densities ``omega(d1 f, d2 f)``, one target component pair and one
+    block of cell rows at a time.
+
+    Each of the two sums starts from +0.0 and adds left to right.  With one
+    or two degrees of freedom that is the order of the einsum in
+    :func:`canonical_omega`, so the result equals ``canonical_omega`` of the
+    stacked differences bit for bit; with more, two-lane (SSE2) einsum
+    builds pair the terms differently.
+    """
+    src, n = f.source, f.dim // 2
+    two_h = 2.0 * src.spacing
+    nodes = [_wrapped(src, f.values[..., k]) for k in range(f.dim)]
+    out = np.empty(src.cell_shape)
+    rows = max(1, _BLOCK_CELLS // src.n)
+    for r in range(0, src.n, rows):
+        block = slice(r, r + rows + 1)
+        qp = pq = 0.0
+        for i in range(n):
+            d1q, d2q = _edge_differences(nodes[i][block], two_h)
+            d1p, d2p = _edge_differences(nodes[n + i][block], two_h)
+            d1q *= d2p
+            d1q += qp
+            d1p *= d2q
+            d1p += pq
+            qp, pq = d1q, d1p
+        np.subtract(qp, pq, out=out[r : r + rows])
+    return out
 
 
 def pullback_omega(f: MapField) -> CellTwoForm:
@@ -411,15 +475,7 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     Edge-averaged corner differences make the scheme exact for affine maps
     and second-order accurate for smooth ones.
     """
-    h = f.source.spacing
-    v00, v10, v01, v11 = _cell_corners(f.source, f.values)
-    d1 = v10 - v00
-    d1 += v11 - v01
-    d1 /= 2.0 * h
-    d2 = v01 - v00
-    d2 += v11 - v10
-    d2 /= 2.0 * h
-    return CellTwoForm(f.source, canonical_omega(d1, d2))
+    return CellTwoForm(f.source, _pullback_density(f))
 
 
 def right_momentum(f: MapField) -> CellTwoForm:
@@ -440,13 +496,24 @@ def cell_average(source: GridSource, values: np.ndarray) -> np.ndarray:
     return ((a00 + a11) + (a10 + a01)) * 0.25
 
 
+def averaged_momentum_pair(f: MapField, abar: np.ndarray) -> float:
+    """:func:`right_momentum_pair` against cell averages ``abar`` of a potential.
+
+    ``abar`` is what :func:`cell_average` returns for the potential, so a
+    run that pairs many maps with one potential averages it once.
+    """
+    if np.shape(abar) != f.source.cell_shape:
+        raise ValueError(f"cell averages shape {np.shape(abar)} != cell shape {f.source.cell_shape}")
+    c = _pullback_density(f)
+    c *= abar
+    c *= f.source.spacing**2
+    return -_fsum(c)
+
+
 def right_momentum_pair(f: MapField, alpha: StreamFunction) -> float:
     """Pair the right momentum with a potential: ``-sum_cells c * avg(alpha) * h^2``."""
     _check_same_grid(f, alpha)
-    c = pullback_omega(f).values
-    abar = cell_average(f.source, alpha.values)
-    h2 = f.source.spacing**2
-    return -_fsum(c * abar * h2)
+    return averaged_momentum_pair(f, cell_average(f.source, alpha.values))
 
 
 def fiber_pairing(
@@ -566,7 +633,23 @@ def nodewise_linear(f: MapField, matrix: np.ndarray) -> MapField:
     a = np.asarray(matrix, dtype=float)
     if a.shape != (f.dim, f.dim):
         raise ValueError(f"matrix shape {a.shape} does not match target dimension {f.dim}")
-    return MapField(f.source, np.einsum("ij,...j->...i", a, f.values))
+    # Each component adds its even- and its odd-indexed terms a[i, j] x_j in two
+    # running sums, then the two sums: the order in which two-lane (SSE2)
+    # builds of einsum("ij,...j->...i") add up to six terms, so both agree bit
+    # for bit.  That einsum starts from +0.0 and so never returns -0.0.
+    x = f.values
+    out = np.empty_like(x)
+    odd = np.empty(f.source.node_shape)
+    for i in range(f.dim):
+        even = out[..., i]
+        np.multiply(x[..., 0], a[i, 0], out=even)
+        np.multiply(x[..., 1], a[i, 1], out=odd)
+        for j in range(2, f.dim):
+            lane = even if j % 2 == 0 else odd
+            lane += x[..., j] * a[i, j]
+        even += odd
+        even += 0.0
+    return MapField(f.source, out)
 
 
 # -- equivariance diagnostics ---------------------------------------------------

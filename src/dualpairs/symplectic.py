@@ -35,9 +35,6 @@ __all__ = [
 
 METHODS = ("implicit-midpoint", "rk4")
 
-# Central-difference step scale for gradient fallbacks (see Observable).
-_FD_SCALE = float(np.cbrt(np.finfo(float).eps))
-
 _FIXED_POINT_TOL = 1e-13
 _FIXED_POINT_MAX_ITER = 50
 
@@ -55,35 +52,6 @@ def phase_point(coords: Sequence[float]) -> np.ndarray:
     return m
 
 
-def _fd_gradient(value: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Fourth-order central-difference gradient of a scalar callable.
-
-    The step is ``cbrt(eps) * (1 + |m|)`` per evaluation point.  Broadcasts
-    over leading axes, like the analytic gradients supplied by polynomial
-    observables.
-    """
-
-    def gradient(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        h = _FD_SCALE * (1.0 + np.sqrt(np.sum(m * m, axis=-1)))
-        out = np.empty_like(m)
-        for i in range(m.shape[-1]):
-            mp = m.copy()
-            mm = m.copy()
-            mp2 = m.copy()
-            mm2 = m.copy()
-            mp[..., i] += h
-            mm[..., i] -= h
-            mp2[..., i] += 2.0 * h
-            mm2[..., i] -= 2.0 * h
-            num = 8.0 * (np.asarray(value(mp)) - np.asarray(value(mm)))
-            num -= np.asarray(value(mp2)) - np.asarray(value(mm2))
-            out[..., i] = num / (12.0 * h)
-        return out
-
-    return gradient
-
-
 class Observable:
     """A scalar function on R^(2n) together with its gradient.
 
@@ -95,20 +63,19 @@ class Observable:
         the package constructs (polynomial observables, momentum functions)
         satisfies it.
     gradient:
-        Optional callable of the same broadcasting shape returning
-        ``(..., 2n)``.  When omitted, a fourth-order central-difference
-        fallback with step ``cbrt(eps) * (1 + |m|)`` is used.
+        Callable of the same broadcasting shape returning ``(..., 2n)``,
+        the exact gradient of ``value``.
     """
 
     def __init__(
         self,
         value: Callable[[np.ndarray], np.ndarray],
-        gradient: Callable[[np.ndarray], np.ndarray] | None = None,
+        gradient: Callable[[np.ndarray], np.ndarray],
         *,
         name: str = "",
     ):
         self._value = value
-        self._gradient = gradient if gradient is not None else _fd_gradient(value)
+        self._gradient = gradient
         self.name = name
 
     def value(self, m) -> np.ndarray:

@@ -81,12 +81,16 @@ def test_momentum_function_value_and_gradient():
     assert np.array_equal(g.gradient(z), np.array([-4.0, 3.0, 2.0, -1.0]))
 
 
-def test_momentum_function_gradient_falls_back_without_jacobian():
-    x = VectorField(lambda p: np.sin(p), dim=1)
+def test_momentum_function_gradient_needs_a_jacobian():
+    # there is no finite-difference fallback: the value works, the gradient names the gap
+    x = VectorField(lambda p: np.sin(p), dim=1, name="sine")
     g = momentum_function(x)
     z = np.array([0.7, 1.3])
-    expected = np.array([1.3 * math.cos(0.7), math.sin(0.7)])
-    assert np.abs(g.gradient(z) - expected).max() <= 1e-9
+    assert g.value(z) == 1.3 * np.sin(0.7)
+    with pytest.raises(ValueError, match="sine has no Jacobian"):
+        g.gradient(z)
+    with_jac = momentum_function(VectorField(np.sin, dim=1, jac=lambda p: np.cos(p)[..., None]))
+    assert np.array_equal(with_jac.gradient(z), np.array([np.cos(0.7) * 1.3, np.sin(0.7)]))
 
 
 def test_field_bracket_of_linear_fields_is_commutator():

@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line interface, in process via cli.main."""
 
 import csv
+import math
+import tracemalloc
 
 import pytest
 
-from dualpairs import cli, peakons
+from dualpairs import cli, fields, peakons
+from dualpairs.fields import GridSource, StreamFunction, right_momentum_pair
 
 
 def run(capsys, *argv):
@@ -283,6 +286,33 @@ def test_advect_shear_conserves_pairing(capsys, tmp_path):
     assert all(float(r[2]) <= 1e-13 for r in rows[1:])
 
 
+def test_advect_rotation_conserves_pairing(capsys, tmp_path):
+    path = tmp_path / "adv.csv"
+    code, out, _ = run(
+        capsys, "advect", "--flow", "rotation", "--grid", "8", "--steps", "20",
+        "--out", str(path),
+    )
+    assert code == 0
+    assert "flow=rotation" in out
+    rows = read_rows(path)
+    assert rows[0] == ["t", "jr_pair", "jr_drift"]
+    assert len(rows) == 1 + 21
+    assert all(float(r[2]) <= 1e-13 for r in rows[1:])
+
+
+@pytest.mark.parametrize("flow", ["rotation", "shear", "swirl"])
+def test_advect_hoisted_average_writes_the_per_step_pairing(capsys, tmp_path, monkeypatch, flow):
+    argv = ("advect", "--flow", flow, "--grid", "12", "--steps", "6", "--dt", "0.1")
+    hoisted = tmp_path / "hoisted.csv"
+    assert run(capsys, *argv, "--out", str(hoisted))[0] == 0
+    # Hand the loop the potential itself, so that every step calls right_momentum_pair.
+    monkeypatch.setattr(cli, "cell_average", lambda source, values: StreamFunction(source, values))
+    monkeypatch.setattr(cli, "averaged_momentum_pair", right_momentum_pair)
+    per_step = tmp_path / "per_step.csv"
+    assert run(capsys, *argv, "--out", str(per_step))[0] == 0
+    assert hoisted.read_bytes() == per_step.read_bytes()
+
+
 def test_advect_rejects_unknown_flow(capsys, tmp_path):
     code, _, err = run(capsys, "advect", "--flow", "vortex", "--out", str(tmp_path / "x.csv"))
     assert code == 2
@@ -364,6 +394,50 @@ def test_flags_override_config(capsys, tmp_path):
     assert config_only.read_bytes() != plain.read_bytes()
 
 
+# -- grid budget ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("advect", "--grid", "16"),
+        ("verify", "--suite", "numeric", "--grid", "16"),
+        ("converge", "--op", "transport", "--grids", "8,16"),
+    ],
+    ids=["advect", "verify", "converge"],
+)
+def test_grids_one_node_over_the_budget_are_refused_before_any_is_built(capsys, tmp_path, monkeypatch, argv):
+    def built(self):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(fields, "MAX_NODES", 16 * 16 - 1)
+    monkeypatch.setattr(GridSource, "__post_init__", built)
+    path = tmp_path / "big.csv"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert "grid 16 needs 256 nodes, over the limit of 255 (fields.MAX_NODES, at most grid 15)" in err
+    assert not path.exists()
+
+
+def test_grid_at_the_budget_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "MAX_NODES", 16 * 16)
+    code, _, _ = run(capsys, "advect", "--grid", "16", "--steps", "1", "--out", str(tmp_path / "fits.csv"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("grid", [math.isqrt(fields.MAX_NODES) + 1, 100000])
+def test_advect_over_the_budget_allocates_nothing(capsys, tmp_path, grid):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "advect", "--grid", str(grid), "--out", str(tmp_path / "big.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"over the limit of {fields.MAX_NODES}" in err
+    assert peak < 1 << 20
+
+
 # -- determinism ------------------------------------------------------------------
 
 
@@ -372,9 +446,10 @@ def test_flags_override_config(capsys, tmp_path):
     [
         ("peakon", "--n", "2", "--dt", "0.01", "--t-final", "0.2"),
         ("advect", "--flow", "swirl", "--grid", "8", "--steps", "5"),
+        ("advect", "--flow", "rotation", "--grid", "8", "--steps", "5"),
         ("converge", "--op", "transport",),
     ],
-    ids=["peakon", "advect-swirl", "converge"],
+    ids=["peakon", "advect-swirl", "advect-rotation", "converge"],
 )
 def test_repeated_runs_are_byte_identical(capsys, tmp_path, argv):
     first = tmp_path / "first.csv"

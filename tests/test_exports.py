@@ -10,6 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualpairs
@@ -42,6 +43,6 @@ def test_package_reexports_resolve():
 def test_public_methods_exist():
     for method in ("hamiltonians", "total_momenta", "filament_currents", "jr_drifts"):
         assert callable(getattr(Trajectory, method))
-    h = Observable(lambda z: z[..., 0])
+    h = Observable(lambda z: z[..., 0], lambda z: np.eye(z.shape[-1])[0] + 0.0 * z)
     assert callable(Observable.gradient) and callable(h._gradient)
     assert "__init__" in vars(RationalPoly)

@@ -8,9 +8,15 @@ Two kinds of checks that do not trust the fast code:
 * the earlier implementations, kept only here: the ``np.roll`` versions of
   the periodic cell corners and the centered difference, the implicit
   midpoint loop that allocated fresh arrays on every iteration, the
-  concatenated Hamiltonian vector field, and sampling on the full
-  meshgrid.  The shipped code must equal each of them
-  bit for bit.
+  concatenated Hamiltonian vector field, sampling on the full meshgrid,
+  and the einsum forms of the swirl field, ``nodewise_linear`` and the
+  stacked pullback.  The shipped code must equal each of them bit for bit,
+  sign of zero included.
+
+The einsum references start from +0.0, add in the order of NumPy's two-lane
+(SSE2) loops and do not fuse multiply-adds; a NumPy build that fuses them,
+or adds in another order, fails here instead of silently changing a CSV
+digest.
 """
 
 import math
@@ -22,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs import datagen, fields
+from dualpairs import cli, datagen, fields
 from dualpairs.errors import SolverDivergenceError
 from dualpairs.fields import (
     _FSUM_SMALL,
@@ -31,8 +37,11 @@ from dualpairs.fields import (
     _cell_corners,
     _centered_periodic,
     _fsum,
+    averaged_momentum_pair,
     cell_average,
+    nodewise_linear,
     pullback_omega,
+    right_momentum_pair,
 )
 from dualpairs.polyalg import random_poly
 from dualpairs.symplectic import (
@@ -57,6 +66,13 @@ def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def assert_same_numbers(a, b):
+    """Bitwise equal, with the sign of every zero checked on its own as well."""
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert_bitwise(a, b)
 
 
 def outcome(total, values):
@@ -335,3 +351,116 @@ def test_sampled_fields_hold_contiguous_node_arrays():
     assert isinstance(f, MapField)
     assert f.values.shape == src.node_shape + (2,)
     assert f.values.flags.c_contiguous and f.values.base is None
+
+
+# -- the einsum forms, kept as the reference -------------------------------------------
+
+
+def awkward(rng, shape):
+    """Random doubles with signed zeros, subnormals and magnitudes near 1e150.
+
+    The first two node rows are zeros of random sign in every component, so
+    that products and corner differences of zeros reach every sum.
+    """
+    x = rng.normal(size=shape)
+    kind = rng.integers(0, 4, size=shape)
+    x[kind == 1] = rng.choice([0.0, -0.0], int((kind == 1).sum()))
+    x[kind == 2] = rng.integers(-(2**20), 2**20, int((kind == 2).sum())) * 5e-324
+    x[kind == 3] = rng.uniform(-2.0, 2.0, int((kind == 3).sum())) * 1e150
+    x[:2] = rng.choice([0.0, -0.0], x[:2].shape)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(2,), (9, 2), (16, 16, 2)], ids=["point", "batch", "grid"])
+def test_swirl_field_matches_einsum(shape):
+    swirl = cli._swirl_observable()
+    z = awkward(np.random.default_rng(len(shape)), shape)
+    with np.errstate(over="ignore", under="ignore"):
+        assert_same_numbers(swirl.gradient(z), quartic().gradient(z))
+        assert_same_numbers(swirl.value(z), quartic().value(z))
+
+
+def shear(dt, n):
+    eye = np.eye(n)
+    return np.block([[eye, 0.0 * eye], [-dt * eye, eye]])
+
+
+def rotation(dt, n):
+    c, s, eye = math.cos(dt), math.sin(dt), np.eye(n)
+    return np.block([[c * eye, s * eye], [-s * eye, c * eye]])
+
+
+def random_matrix(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    a[rng.random((dim, dim)) < 0.25] = 0.0
+    a[rng.random((dim, dim)) < 0.25] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("topology", ["periodic", "patch"])
+def test_nodewise_linear_matches_einsum(dim, topology):
+    rng = np.random.default_rng(dim)
+    src = GridSource(topology, 12)
+    f = MapField(src, awkward(rng, src.node_shape + (dim,)))
+    n = dim // 2
+    matrices = [shear(0.0625, n), rotation(0.0625, n), np.eye(dim), -np.eye(dim)]
+    matrices += [random_matrix(rng, dim) for _ in range(4)]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a in matrices:
+            assert_same_numbers(nodewise_linear(f, a).values, np.einsum("ij,...j->...i", a, f.values))
+
+
+def stacked_pullback(source, values):
+    """The stacked (cells, 2n) corner differences fed to ``canonical_omega``."""
+    h = source.spacing
+    v00, v10, v01, v11 = _cell_corners(source, values)
+    d1 = v10 - v00
+    d1 += v11 - v01
+    d1 /= 2.0 * h
+    d2 = v01 - v00
+    d2 += v11 - v10
+    d2 /= 2.0 * h
+    return canonical_omega(d1, d2)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("topology", ["periodic", "patch"])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("block", [None, 1, 40], ids=["one-block", "row-blocks", "partial-last-block"])
+def test_pullback_matches_stacked_canonical_omega(dim, topology, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(fields, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(10 * n + dim)
+    src = GridSource(topology, n)
+    values = awkward(rng, src.node_shape + (dim,))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert_same_numbers(pullback_omega(MapField(src, values)).values, stacked_pullback(src, values))
+
+
+def test_pullback_reference_sees_signed_zeros():
+    # Corners -0.0 and +0.0 give a -0.0 difference along s1 and a +0.0 one
+    # along s2, so the product d1q * d2p is -0.0 and d1p * d2q is +0.0.  The
+    # plain difference of the two products is -0.0; only sums that start from
+    # +0.0, like the einsum's, give +0.0.
+    src = GridSource("patch", 1)
+    values = np.zeros((2, 2, 2))
+    values[1, :, 0] = -0.0
+    d1 = (values[1, 0] - values[0, 0] + (values[1, 1] - values[0, 1])) / 2.0
+    d2 = (values[0, 1] - values[0, 0] + (values[1, 1] - values[1, 0])) / 2.0
+    assert np.signbit(d1[0] * d2[1] - d1[1] * d2[0])
+    assert not np.signbit(stacked_pullback(src, values)).any()
+    assert_same_numbers(pullback_omega(MapField(src, values)).values, stacked_pullback(src, values))
+
+
+@pytest.mark.parametrize("topology", ["periodic", "patch"])
+def test_averaged_pairing_is_the_right_momentum_pairing(topology):
+    rng = np.random.default_rng(4)
+    src = GridSource(topology, 16)
+    f = datagen.random_map(rng, src, dim=4)
+    alpha = datagen.random_stream(rng, src)
+    expected = -fields._fsum(stacked_pullback(src, f.values) * cell_average(src, alpha.values) * src.spacing**2)
+    assert bits(right_momentum_pair(f, alpha)) == bits(expected)
+    assert bits(averaged_momentum_pair(f, cell_average(src, alpha.values))) == bits(expected)
+    with pytest.raises(ValueError, match="cell averages shape"):
+        averaged_momentum_pair(f, alpha.values[:-1])

@@ -70,11 +70,13 @@ def test_zero_steps_is_identity():
     assert np.array_equal(out, z0)
 
 
-def test_finite_difference_gradient_fallback():
-    # no analytic gradient supplied: the 4th-order central fallback kicks in
-    h = Observable(value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2))
+def test_observable_requires_a_gradient():
+    # there is no finite-difference fallback: the gradient is part of the observable
+    with pytest.raises(TypeError):
+        Observable(value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2))
+    h = oscillator()
     z = np.array([0.3, -1.7])
-    assert np.abs(h.gradient(z) - z).max() < 1e-9
+    assert np.array_equal(h.gradient(z), z)
 
 
 def test_unknown_method_rejected():
