@@ -48,7 +48,6 @@ from .fields import (
     right_act,
     right_act_stream,
     right_generator,
-    right_momentum,
     right_momentum_pair,
 )
 from .peakons import (
@@ -59,8 +58,6 @@ from .peakons import (
     collective_hamiltonian,
     filament_current,
     integrate,
-    kernel_eval,
-    kernel_grad,
     pair_with_field,
     reparametrize,
     rhs,

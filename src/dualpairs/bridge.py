@@ -33,7 +33,6 @@ from .fields import (
     TangentField,
     _check_same_grid,
     _fsum,
-    integrated_omega,
     right_momentum_pair,
     transport_along,
 )
@@ -80,17 +79,6 @@ class VectorField:
         return np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
 
     @classmethod
-    def constant(cls, vec) -> "VectorField":
-        v = np.asarray(vec, dtype=float)
-        d = v.shape[-1]
-        return cls(
-            func=lambda x: np.broadcast_to(v, x.shape).copy(),
-            dim=d,
-            jac=lambda x: np.zeros(x.shape + (d,)),
-            name=f"constant{tuple(v.tolist())}",
-        )
-
-    @classmethod
     def linear(cls, matrix) -> "VectorField":
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -125,10 +113,6 @@ class CovectorField:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
-    @property
-    def dim(self) -> int:
-        return self.q.shape[-1]
-
     def phase_map(self) -> MapField:
         """The full node map ``s -> (Q_s, P_s)`` into R^(2d)."""
         if not isinstance(self.source, GridSource):
@@ -142,9 +126,6 @@ class ResidualReport:
 
     residual: float
     scale: float
-
-    def within(self, factor: float) -> bool:
-        return self.residual <= factor * self.scale
 
 
 def _values_of(v, shape) -> np.ndarray:
@@ -233,8 +214,7 @@ def transport_residual(cov: CovectorField, alpha: StreamFunction) -> float:
     if not isinstance(src, GridSource) or src.topology != "periodic":
         raise ValueError("the transport identity needs a closed source (periodic grid)")
     _check_same_grid(cov, alpha)
-    moved = transport_along(src, cov.q, alpha)
-    side1 = _fsum(np.einsum("...i,...i->...", cov.p, moved) * src.weights)
+    side1 = covector_pairing(cov, transport_along(src, cov.q, alpha))
     side2 = right_momentum_pair(cov.phase_map(), alpha)
     return abs(side1 - side2)
 
@@ -253,16 +233,9 @@ def symplectic_pairing_residual(cov: CovectorField, v1, v2) -> ResidualReport:
     w = cov.source.weights
     z1 = np.concatenate([dq1, dp1], axis=-1)
     z2 = np.concatenate([dq2, dp2], axis=-1)
-    if isinstance(cov.source, GridSource):
-        side1 = integrated_omega(
-            cov.phase_map(), TangentField(cov.source, z1), TangentField(cov.source, z2)
-        )
-    else:
-        side1 = _fsum(canonical_omega(z1, z2) * w)
-    scale = _fsum(np.abs(canonical_omega(z1, z2)) * w)
-    terms2 = np.einsum("...i,...i->...", dp2, dq1) - np.einsum("...i,...i->...", dp1, dq2)
-    side2 = _fsum(terms2 * w)
-    return ResidualReport(abs(side1 - side2), scale)
+    terms1 = canonical_omega(z1, z2) * w
+    terms2 = (np.einsum("...i,...i->...", dp2, dq1) - np.einsum("...i,...i->...", dp1, dq2)) * w
+    return ResidualReport(abs(_fsum(terms1) - _fsum(terms2)), _fsum(np.abs(terms1)))
 
 
 def momentum_bracket_residual(

@@ -50,7 +50,6 @@ __all__ = [
     "right_act",
     "right_act_stream",
     "right_generator",
-    "right_momentum",
     "right_momentum_pair",
     "stream_vector_field",
     "transport_along",
@@ -478,12 +477,6 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     return CellTwoForm(f.source, _pullback_density(f))
 
 
-def right_momentum(f: MapField) -> CellTwoForm:
-    """The right momentum density: minus the pullback of the canonical form."""
-    c = pullback_omega(f)
-    return CellTwoForm(f.source, -c.values)
-
-
 def cell_average(source: GridSource, values: np.ndarray) -> np.ndarray:
     """Four-corner cell average of a node scalar.
 
@@ -582,13 +575,6 @@ class GridSymmetry:
             raise ValueError(f"shift must be a pair of integers, got {self.shift}")
         object.__setattr__(self, "shift", (int(s1), int(s2)))
         object.__setattr__(self, "quarter_turns", int(self.quarter_turns) % 4)
-
-    def inverse(self) -> "GridSymmetry":
-        r = self.quarter_turns
-        s = self.shift
-        for _ in range(r):
-            s = (-s[1], s[0])  # rho applied to the shift vector
-        return GridSymmetry(shift=(-s[0], -s[1]), quarter_turns=(4 - r) % 4)
 
 
 def _rotate_gather(values: np.ndarray) -> np.ndarray:

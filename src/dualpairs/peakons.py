@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverDivergenceError
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "Trajectory",
     "collective_hamiltonian",
     "integrate",
-    "kernel_eval",
-    "kernel_grad",
     "filament_current",
     "pair_with_field",
     "reparametrize",
@@ -102,25 +101,6 @@ def _kernel(k: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r2 = np.einsum("i...,i...->...", x, x)
     g = np.exp(np.divide(r2, -2.0 * k.alpha**2, out=r2), out=r2)
     return g, np.divide(x, -k.alpha**2, out=x)
-
-
-def _components(k: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """(..., d) displacements as an owned (d, N) array, for ``_kernel`` to overwrite."""
-    _check_kernel_dim(k, x.shape[-1])
-    return np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1).copy()
-
-
-def kernel_eval(k: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate G on an array of displacement vectors of shape (..., d)."""
-    x = np.asarray(x, dtype=float)
-    return _kernel(k, _components(k, x))[0].reshape(x.shape[:-1])
-
-
-def kernel_grad(k: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of G, shape (..., d); zero at x = 0 for both families."""
-    x = np.asarray(x, dtype=float)
-    g, u = _kernel(k, _components(k, x))
-    return np.moveaxis(u * g, 0, -1).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +174,6 @@ class FilamentState(SingularState):
     def _default_weights(a: int) -> np.ndarray:
         return np.full(a, 1.0 / a)
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.count
-
 
 # -- collective dynamics -------------------------------------------------------
 
@@ -213,12 +189,11 @@ _BLOCK_PAIRS = 1 << 16
 MAX_PAIRS = 1 << 24
 
 
-def _pair_terms(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``(P_a . P_b) G(Q_a - Q_b) w_a w_b`` over any leading axes; H is half their sum."""
+def _pair_terms(k: KernelSpec, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """``(pt_a . pt_b) G(Q_a - Q_b)`` over any leading axes, with ``pt = P w``; H is half their sum."""
     terms = _kernel(k, _differences(q))[0]
     # einsum sums each entry's own products (no BLAS), so the terms are bitwise symmetric
-    terms *= np.einsum("...ai,...bi->...ab", p, p)
-    terms *= np.outer(w, w)
+    terms *= np.einsum("...ai,...bi->...ab", pt, pt)
     return terms
 
 
@@ -275,22 +250,44 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
     return out
 
 
-def _exp1d_energy(x: list, pt: list, alpha: float) -> float:
-    """The exp1d H at one state: ``1/2 sum_a pt_a dH/dpt_a``, O(A) after the scan."""
-    field = _exp1d_scan(x, pt, alpha)[len(x) :]
-    return 0.5 * math.fsum([p * f for p, f in zip(pt, field)])
+def _half_fsum(terms) -> float:
+    """Half the exactly rounded sum; NaN where ``math.fsum`` overflows or meets ``inf - inf``."""
+    try:
+        return 0.5 * math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
-def _exp1d_state_energy(q: np.ndarray, p: np.ndarray, w: np.ndarray, alpha: float) -> float:
-    """``_exp1d_energy`` of (A, 1) positions and covectors with masses ``w``."""
-    return _exp1d_energy(q[:, 0].tolist(), (p[:, 0] * w).tolist(), alpha)
+def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H at each state of a (T, A, d) stack of positions and covectors with masses ``w``.
+
+    H is taken in the canonical variables ``(Q, P w)``, as the steppers see
+    it.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one scan per row, converted
+    to lists one row at a time.  gaussian: pair terms in blocks of rows;
+    they are bitwise symmetric, so the ``fsum`` of the doubled strict upper
+    triangle and the diagonal is exactly the full-matrix one.
+    """
+    t, a = q.shape[:2]
+    out = np.empty(t)
+    if k.family == "exp1d":
+        for i in range(t):
+            pt = (p[i, :, 0] * w).tolist()
+            field = _exp1d_scan(q[i, :, 0].tolist(), pt, k.alpha)[a:]
+            out[i] = _half_fsum([u * f for u, f in zip(pt, field)])
+        return out
+    rows = max(1, _BLOCK_PAIRS // (a * a))
+    upper = np.triu(np.ones((a, a), dtype=bool), 1)
+    for start in range(0, t, rows):
+        block = slice(start, start + rows)
+        terms = _pair_terms(k, q[block], p[block] * w[:, None])
+        halves = np.concatenate([2.0 * terms[:, upper], np.diagonal(terms, axis1=1, axis2=2)], axis=1)
+        out[block] = [_half_fsum(memoryview(row)) for row in halves]
+    return out
 
 
 def collective_hamiltonian(st: SingularState) -> float:
     """``1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b`` (order-independent sum)."""
-    if st.kernel.family == "exp1d":
-        return _exp1d_state_energy(st.q, st.p, st.weights, st.kernel.alpha)
-    return 0.5 * math.fsum(_pair_terms(st.kernel, st.q, st.p, st.weights).ravel())
+    return float(_hamiltonians(st.kernel, st.q[None], st.p[None], st.weights)[0])
 
 
 def _canonical_point(st: SingularState) -> np.ndarray:
@@ -322,44 +319,26 @@ def _collective_observable(template: SingularState) -> Observable:
     """
     a, d = template.count, template.dim
     k = template.kernel
-    if k.family == "exp1d":
-        return _exp1d_observable(a, k.alpha)
     unit = np.ones(a)
 
-    def split(z: np.ndarray):
-        head = z.shape[:-1]
-        return z[..., : a * d].reshape(head + (a, d)), z[..., a * d :].reshape(head + (a, d))
-
     def value(z: np.ndarray):
-        q, pt = split(z)
-        return 0.5 * np.sum(_pair_terms(k, q, pt, unit), axis=(-2, -1))
+        qp = z.reshape(-1, 2, a, d)
+        return _hamiltonians(k, qp[:, 0], qp[:, 1], unit).reshape(z.shape[:-1])
 
     def gradient(z: np.ndarray):
-        q, pt = split(z)
+        if k.family == "exp1d":
+            rows = [_exp1d_scan(row[:a], row[a:], k.alpha) for row in z.reshape(-1, 2 * a).tolist()]
+            return np.array(rows).reshape(z.shape)
+        head = z.shape[:-1]
+        q, pt = z[..., : a * d].reshape(head + (a, d)), z[..., a * d :].reshape(head + (a, d))
         g, u = _kernel(k, _differences(q))
         c = pt @ np.swapaxes(pt, -1, -2)
         c *= g
         dq_grad = np.einsum("...ab,i...ab->...ai", c, u)
         dpt_grad = g @ pt
-        head = z.shape[:-1]
         return np.concatenate(
             [dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1
         )
-
-    return Observable(value, gradient, name="collective")
-
-
-def _exp1d_observable(a: int, alpha: float) -> Observable:
-    """The exp1d H of ``(x, pt)`` with its gradient, one sorted scan per row."""
-
-    def rows(z: np.ndarray, fn) -> list:
-        return [fn(row[:a], row[a:], alpha) for row in z.reshape(-1, 2 * a).tolist()]
-
-    def value(z: np.ndarray):
-        return np.array(rows(z, _exp1d_energy)).reshape(z.shape[:-1])
-
-    def gradient(z: np.ndarray):
-        return np.array(rows(z, _exp1d_scan)).reshape(z.shape)
 
     return Observable(value, gradient, name="collective")
 
@@ -378,38 +357,13 @@ class Trajectory:
     weights: np.ndarray
     kernel: KernelSpec
     chain: bool = False
-    nonvanishing: bool = False
 
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def state_at(self, i: int) -> SingularState:
-        if self.chain:
-            return FilamentState(self.q[i], self.p[i], self.kernel, self.weights, self.nonvanishing)
-        return SingularState(self.q[i], self.p[i], self.kernel, self.weights)
-
     def hamiltonians(self) -> np.ndarray:
-        """``collective_hamiltonian`` at each time: one scan per row for exp1d,
-        gaussian pair terms in blocks of rows.
-
-        The pair terms are bitwise symmetric, so the ``fsum`` of the doubled
-        strict upper triangle and the diagonal is exactly the full-matrix one.
-        """
-        if self.kernel.family == "exp1d":
-            w, alpha = self.weights, self.kernel.alpha
-            return np.array([_exp1d_state_energy(q, p, w, alpha) for q, p in zip(self.q, self.p)])
-        a = self.q.shape[1]
-        rows = max(1, _BLOCK_PAIRS // (a * a))
-        upper = np.triu(np.ones((a, a), dtype=bool), 1)
-        out = np.empty(len(self))
-        for start in range(0, len(self), rows):
-            block = slice(start, start + rows)
-            terms = _pair_terms(self.kernel, self.q[block], self.p[block], self.weights)
-            halves = np.concatenate(
-                [2.0 * terms[:, upper], np.diagonal(terms, axis1=1, axis2=2)], axis=1
-            )
-            out[block] = [0.5 * math.fsum(memoryview(row)) for row in halves]
-        return out
+        """``collective_hamiltonian`` at each time."""
+        return _hamiltonians(self.kernel, self.q, self.p, self.weights)
 
     def total_momenta(self) -> np.ndarray:
         """``sum_a P_a w_a`` at each time, shape (steps + 1, d)."""
@@ -463,7 +417,6 @@ def integrate(st: SingularState, spec: FlowSpec) -> Trajectory:
         weights=st.weights,
         kernel=st.kernel,
         chain=isinstance(st, FilamentState),
-        nonvanishing=getattr(st, "nonvanishing", False),
     )
 
 
@@ -528,7 +481,9 @@ def reparametrize(st: SingularState, shift: int) -> SingularState:
 def write_trajectory_csv(path, traj: Trajectory) -> np.ndarray:
     """One row per step: t, flattened Q, flattened P, H, total momentum, jr drift.
 
-    Returns the H column, so callers need not compute it again.
+    Returns the H column, so callers need not compute it again.  A non-finite
+    H raises :class:`~dualpairs.errors.SolverDivergenceError` at its first
+    step, before the file is opened.
     """
     a, d = traj.q.shape[1], traj.q.shape[2]
     header = (
@@ -540,6 +495,9 @@ def write_trajectory_csv(path, traj: Trajectory) -> np.ndarray:
         + ["jr_drift"]
     )
     energies = traj.hamiltonians()
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        raise SolverDivergenceError(bad[0], f"the Hamiltonian is not finite at step {bad[0]}")
     momenta = traj.total_momenta()
     drifts = traj.jr_drifts()
     flat = (len(traj), a * d)

@@ -161,10 +161,6 @@ class RationalPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "RationalPoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, value, nvars: int) -> "RationalPoly":
         return cls(nvars, {(0,) * nvars: _as_fraction(value)})
 

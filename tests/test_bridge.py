@@ -38,7 +38,10 @@ def chain_covectors(n=11, seed=1):
 
 
 def test_constant_field_and_jacobian():
-    x = VectorField.constant([2.0, -1.0])
+    v = np.array([2.0, -1.0])
+    x = VectorField(
+        lambda pts: np.broadcast_to(v, pts.shape), 2, jac=lambda pts: np.zeros(pts.shape + (2,))
+    )
     pts = np.array([[0.0, 0.0], [5.0, 5.0]])
     assert np.array_equal(x(pts), np.array([[2.0, -1.0], [2.0, -1.0]]))
     assert np.array_equal(x.jacobian(pts), np.zeros((2, 2, 2)))
@@ -104,7 +107,7 @@ def test_field_bracket_of_linear_fields_is_commutator():
 
 def test_field_bracket_dim_mismatch():
     with pytest.raises(ValueError):
-        field_bracket(VectorField.constant([1.0]), VectorField.constant([1.0, 0.0]))
+        field_bracket(VectorField.linear(np.eye(1)), VectorField.linear(np.eye(2)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -194,7 +197,7 @@ def test_symplectic_pairing_two_routes_agree(seed):
     v2 = (rng.normal(size=cov.q.shape), rng.normal(size=cov.q.shape))
     report = symplectic_pairing_residual(cov, v1, v2)
     assert report.scale > 0.0
-    assert report.within(1e-14)
+    assert report.residual <= 1e-14 * report.scale
 
 
 def test_symplectic_pairing_accepts_tangent_fields():
@@ -205,14 +208,8 @@ def test_symplectic_pairing_accepts_tangent_fields():
 
     v1 = (TangentField(cov.source, dz()), TangentField(cov.source, dz()))
     v2 = (dz(), dz())
-    assert symplectic_pairing_residual(cov, v1, v2).within(1e-14)
-
-
-def test_residual_report_within_is_a_plain_comparison():
-    from dualpairs.bridge import ResidualReport
-
-    r = ResidualReport(2.0, 1.0)
-    assert r.within(2.0) and not r.within(1.9)
+    report = symplectic_pairing_residual(cov, v1, v2)
+    assert report.residual <= 1e-14 * report.scale
 
 
 # -- the transport identity -------------------------------------------------------

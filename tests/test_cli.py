@@ -205,6 +205,17 @@ def test_peakon_rk4_overflow_is_numeric_divergence(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n, p", [("1", "1e160"), ("2", "1.7e154")])
+def test_peakon_hamiltonian_overflow_is_numeric_divergence(capsys, tmp_path, n, p):
+    # the states stay finite, but H overflows (1e160) or its fsum does (1.7e154)
+    path = tmp_path / "overflow.csv"
+    code, out, err = run(capsys, "peakon", "--n", n, "--p", p, "--t-final", "0.002", "--out", str(path))
+    assert code == 4
+    assert "numeric divergence at step 0" in err
+    assert out == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--t-final", "inf"), ("--p", "nan"), ("--alpha", "inf")])
 def test_peakon_rejects_non_finite_numbers(capsys, tmp_path, flag, value):
     code, _, err = run(capsys, "peakon", flag, value, "--out", str(tmp_path / "x.csv"))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dualpairs.errors import SolverDivergenceError
 from dualpairs.fields import format_float
 from dualpairs.peakons import (
     FilamentState,
@@ -17,8 +18,6 @@ from dualpairs.peakons import (
     collective_hamiltonian,
     filament_current,
     integrate,
-    kernel_eval,
-    kernel_grad,
     pair_with_field,
     reparametrize,
     rhs,
@@ -38,25 +37,42 @@ def circle_filament(nodes=24, radius=1.0, alpha=0.8, tangential=0.5):
 
 
 def test_exp1d_golden_values():
-    k = KernelSpec("exp1d", 1.0)
-    assert kernel_eval(k, np.array([0.0])) == 0.5
-    assert kernel_eval(k, np.array([math.log(4.0)])) == pytest.approx(1.0 / 8.0, rel=1e-15)
-    # the symmetric peakon convention: zero slope at the crest
-    assert kernel_grad(k, np.array([0.0]))[0] == 0.0
+    # G(0) = 1/(2 alpha): H = p^2 G(0) / 2 and q-dot = p G(0) for one point
+    k = KernelSpec("exp1d", 2.0)
+    one = SingularState(np.array([[0.0]]), np.array([[3.0]]), k)
+    assert collective_hamiltonian(one) == 9.0 / 8.0
+    dq, dp = rhs(one)
+    assert dq[0, 0] == 0.75
+    # the symmetric peakon convention: zero slope at the crest, so no self-force
+    assert dp[0, 0] == 0.0
+    # two points |x| = alpha log 4 apart: G = e^{-log 4} / (2 alpha) = 1/16
+    two = SingularState(np.array([[0.0], [2.0 * math.log(4.0)]]), np.array([[1.0], [2.0]]), k)
+    assert collective_hamiltonian(two) == pytest.approx((1.0 + 4.0) / 8.0 + 2.0 / 16.0, rel=1e-15)
+    dq, _ = rhs(two)
+    assert dq[0, 0] == pytest.approx(1.0 / 4.0 + 2.0 / 16.0, rel=1e-15)
 
 
 def test_exp1d_rejects_higher_dim():
     with pytest.raises(ValueError):
-        kernel_eval(KernelSpec("exp1d", 1.0), np.zeros((3, 2)))
+        SingularState(np.zeros((3, 2)), np.ones((3, 2)), KernelSpec("exp1d", 1.0))
 
 
 def test_gaussian_golden_values():
     k = KernelSpec("gaussian", 2.0)
-    x = np.zeros((5, 3))
-    assert np.array_equal(kernel_eval(k, x), np.ones(5))
-    assert np.array_equal(kernel_grad(k, x), np.zeros((5, 3)))
-    one = kernel_eval(k, np.array([2.0, 0.0, 0.0]))
-    assert one == pytest.approx(math.exp(-0.5), rel=1e-15)
+    # five coincident points: G(0) = 1 and grad G(0) = 0
+    p = np.random.default_rng(1).normal(size=(5, 3))
+    st = SingularState(np.zeros((5, 3)), p, k)
+    dq, dp = rhs(st)
+    assert np.array_equal(dp, np.zeros((5, 3)))
+    assert np.abs(dq - p.sum(axis=0)).max() <= 1e-15 * np.abs(p).sum()
+    # two unit covectors |x| = alpha = 2 apart: G = e^{-1/2}
+    e1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    two = SingularState(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), e1, k)
+    assert collective_hamiltonian(two) == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
+    dq, dp = rhs(two)
+    assert dq[0, 0] == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
+    # -grad G at x_0 - x_1 = (-2, 0, 0) is -(2 / alpha^2) e^{-1/2} along e1
+    assert dp[0, 0] == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-15)
 
 
 def test_kernel_validation():
@@ -83,7 +99,6 @@ def test_singular_state_length_mismatch():
 def test_filament_weights_default_to_chain_spacing():
     st = circle_filament(nodes=16)
     assert np.array_equal(st.weights, np.full(16, 1.0 / 16.0))
-    assert st.spacing == 1.0 / 16.0
 
 
 def test_filament_rejects_coincident_nodes():
@@ -152,9 +167,7 @@ def test_rhs_weights_enter_pairwise_sums():
     w = np.array([2.0, 3.0])
     st = SingularState(q, p, KernelSpec("exp1d", 1.0), w)
     dq, dp = rhs(st)
-    k = KernelSpec("exp1d", 1.0)
-    g01 = float(kernel_eval(k, np.array([q[0, 0] - q[1, 0]])))
-    expected = p[0, 0] * float(kernel_eval(k, np.array([0.0]))) * w[0] + p[1, 0] * g01 * w[1]
+    expected = p[0, 0] * 0.5 * w[0] + p[1, 0] * math.exp(-0.5) / 2.0 * w[1]
     assert dq[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -171,7 +184,7 @@ def test_diagnostics_match_per_state_values_bitwise():
     ptot = traj.total_momenta()
     assert h.shape == (41,) and ptot.shape == (41, 2)
     for i in range(len(traj)):
-        state = traj.state_at(i)
+        state = FilamentState(traj.q[i], traj.p[i], st.kernel, st.weights)
         assert collective_hamiltonian(state) == h[i]
         assert np.array_equal(total_momentum(state), ptot[i])
 
@@ -303,13 +316,49 @@ def test_exp1d_batch_rows_equal_single_rows_bitwise():
         assert values[i] == obs.value(z)
 
 
+@pytest.mark.parametrize("family, dim", [("exp1d", 1), ("gaussian", 2)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_observable_value_is_collective_hamiltonian_bitwise(family, dim, weighted):
+    states = [_random_state(seed, 40, dim, family, 0.8) for seed in (31, 37, 41)]
+    if not weighted:
+        states = [SingularState(st.q, st.p, st.kernel) for st in states]
+    obs = _collective_observable(states[0])
+    batch = obs.value(np.stack([_canonical_point(st) for st in states]))
+    assert batch.shape == (3,)
+    for i, st in enumerate(states):
+        h = collective_hamiltonian(st)
+        assert obs.value(_canonical_point(st)) == h
+        assert batch[i] == h
+
+
+@pytest.mark.parametrize("power_of_two", [False, True])
+def test_canonical_hamiltonian_against_the_weighted_pair_sum(power_of_two):
+    # H was once summed as (P_a . P_b) G w_a w_b; summing (pt_a . pt_b) G with pt = P w moves
+    # only the last bits, and none when every weight is a power of two (filaments of 2^k nodes)
+    st = _random_state(43, 40, 2, "gaussian", 0.8)
+    w = np.full(40, 1.0 / 64.0) if power_of_two else st.weights
+    terms = _pair_terms(st.kernel, st.q, st.p) * np.outer(w, w)
+    old, size = 0.5 * math.fsum(terms.ravel()), 0.5 * math.fsum(np.abs(terms).ravel())
+    h = collective_hamiltonian(SingularState(st.q, st.p, st.kernel, w))
+    if power_of_two:
+        assert h == old
+    else:
+        assert abs(h - old) <= 1e-15 * size
+
+
+def test_overflowing_hamiltonian_sum_is_nan():
+    # each term is finite, but their sum overflows: math.fsum would raise
+    st = SingularState(np.array([[0.0], [2.0]]), np.array([[1.7e154], [0.85e154]]), KernelSpec("exp1d", 1.0))
+    assert math.isnan(collective_hamiltonian(st))
+
+
 def test_exp1d_hamiltonians_equal_per_state_values_bitwise():
     st = _exp1d_state(8, 16, 1.0, spread=3.0)
     traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 30))
     h = traj.hamiltonians()
     assert h.shape == (31,)
     for i in range(len(traj)):
-        assert collective_hamiltonian(traj.state_at(i)) == h[i]
+        assert collective_hamiltonian(SingularState(traj.q[i], traj.p[i], st.kernel, st.weights)) == h[i]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -359,7 +408,7 @@ def test_hamiltonians_half_sum_equals_full_matrix_fsum(dim, count, rows):
     traj = Trajectory(np.arange(rows) * 0.1, q, p, w, k)
     h = traj.hamiltonians()
     for i in range(rows):
-        terms = _pair_terms(k, q[i], p[i], w)
+        terms = _pair_terms(k, q[i], p[i] * w[:, None])
         assert np.array_equal(terms, terms.T)
         assert h[i] == 0.5 * math.fsum(terms.ravel().tolist())
 
@@ -514,7 +563,9 @@ def test_trajectory_csv_bytes_match_the_per_value_writer(tmp_path, monkeypatch):
         return rng.choice(special, size=shape)
 
     traj = Trajectory(pick(rows), pick(rows, 3, 2), pick(rows, 3, 2), np.ones(3), KernelSpec("gaussian", 1.0))
-    energies, momenta, drifts = pick(rows), pick(rows, 2), pick(rows)
+    # a non-finite H is a divergence (see below), so the H column holds finite values only
+    energies = rng.choice([x for x in special if math.isfinite(x)], size=rows)
+    momenta, drifts = pick(rows, 2), pick(rows)
     monkeypatch.setattr(Trajectory, "hamiltonians", lambda self: energies)
     monkeypatch.setattr(Trajectory, "total_momenta", lambda self: momenta)
     monkeypatch.setattr(Trajectory, "jr_drifts", lambda self: drifts)
@@ -523,9 +574,15 @@ def test_trajectory_csv_bytes_match_the_per_value_writer(tmp_path, monkeypatch):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_state_at_round_trips_type():
-    st = circle_filament(nodes=8)
-    traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 3))
-    again = traj.state_at(2)
-    assert isinstance(again, FilamentState)
-    assert again.kernel == st.kernel
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_trajectory_csv_refuses_a_non_finite_hamiltonian(tmp_path, monkeypatch, bad):
+    traj = integrate(SingularState(np.array([[0.0]]), np.array([[1.0]]), KernelSpec("exp1d", 1.0)),
+                     FlowSpec("implicit-midpoint", 0.1, 5))
+    energies = np.ones(6)
+    energies[[2, 4]] = bad
+    monkeypatch.setattr(Trajectory, "hamiltonians", lambda self: energies)
+    path = tmp_path / "never.csv"
+    with pytest.raises(SolverDivergenceError) as info:
+        write_trajectory_csv(path, traj)
+    assert info.value.step == 2
+    assert not path.exists()

@@ -76,7 +76,7 @@ def field_pairs():
 
 def ref_poisson_bracket(g, h):
     n = g.nvars // 2
-    out = RationalPoly.zero(g.nvars)
+    out = RationalPoly(g.nvars)
     for i in range(n):
         out = out + g.diff(i) * h.diff(n + i) - g.diff(n + i) * h.diff(i)
     return out
@@ -84,7 +84,7 @@ def ref_poisson_bracket(g, h):
 
 def ref_field_omega(X, Y):
     n = len(X) // 2
-    out = RationalPoly.zero(len(X))
+    out = RationalPoly(len(X))
     for i in range(n):
         out = out + X[i] * Y[n + i] - X[n + i] * Y[i]
     return out
@@ -94,7 +94,7 @@ def ref_jacobi_lie_bracket(X, Y):
     nvars = len(X)
     out = []
     for i in range(nvars):
-        comp = RationalPoly.zero(nvars)
+        comp = RationalPoly(nvars)
         for j in range(nvars):
             comp = comp + X[j] * Y[i].diff(j) - Y[j] * X[i].diff(j)
         out.append(comp)
@@ -334,7 +334,7 @@ def test_evaluate_at_a_point_with_mixed_denominators():
     assert type(value) is Fraction and value == expected
     assert poly.evaluate((0, 0, 0, 0)) == Fraction(9, 11)
     assert poly.evaluate((0, Fraction(1, 2), 0, 0)) == Fraction(9, 11) - Fraction(7, 16)
-    assert RationalPoly.zero(4).evaluate(point) == 0
+    assert RationalPoly(4).evaluate(point) == 0
 
 
 def test_overflow_guard_raises_instead_of_carrying():
