@@ -257,30 +257,47 @@ def _require_pair_budget(count: int, kernel: KernelSpec) -> None:
     )
 
 
-def _build_peakon_state(opt: dict):
+def _require_trajectory_budget(opt: dict, count: int, dim: int) -> int:
+    """The step count; the (steps + 1, 2·A·d) trajectory is kept whole, so it must fit the budget."""
+    ratio = opt["t_final"] / opt["dt"]
+    steps = round(ratio) if math.isfinite(ratio) else math.inf
+    width = 2 * count * dim
+    _require(
+        (steps + 1) * width <= peakons.MAX_TRAJECTORY_VALUES,
+        f"t-final / dt = {steps} steps need steps + 1 rows of 2·A·d = {width} values, over "
+        f"the limit of {peakons.MAX_TRAJECTORY_VALUES} trajectory values "
+        f"(peakons.MAX_TRAJECTORY_VALUES, at most {peakons.MAX_TRAJECTORY_VALUES // width} rows)",
+    )
+    return steps
+
+
+def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
+    """The initial state and the flow request; both budgets are checked before any array is built."""
     if opt["filament"]:
         _require(opt["nodes"] >= 3, "filament runs need at least 3 nodes")
         _require(opt["radius"] > 0.0, "radius must be positive")
-        kernel = KernelSpec(opt["kernel"] or "gaussian", opt["alpha"])
-        _require_pair_budget(opt["nodes"], kernel)
-        s = np.arange(opt["nodes"]) / opt["nodes"]
+        count, dim, family = opt["nodes"], 2, "gaussian"
+    else:
+        _require(opt["n"] >= 1, "n must be >= 1")
+        _require(opt["dim"] >= 1, "dim must be >= 1")
+        count, dim = opt["n"], opt["dim"]
+        family = "exp1d" if dim == 1 else "gaussian"
+    kernel = KernelSpec(opt["kernel"] or family, opt["alpha"])
+    _require_pair_budget(count, kernel)
+    spec = FlowSpec(opt["method"], opt["dt"], _require_trajectory_budget(opt, count, dim))
+    if opt["filament"]:
+        s = np.arange(count) / count
         ang = 2.0 * np.pi * s
         q = opt["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         tangent = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
         p = opt["p"] * tangent
-        return FilamentState(q, p, kernel)
-    _require(opt["n"] >= 1, "n must be >= 1")
-    _require(opt["dim"] >= 1, "dim must be >= 1")
-    default_kernel = "exp1d" if opt["dim"] == 1 else "gaussian"
-    kernel = KernelSpec(opt["kernel"] or default_kernel, opt["alpha"])
-    _require_pair_budget(opt["n"], kernel)
-    count, dim = opt["n"], opt["dim"]
+        return FilamentState(q, p, kernel), spec
     q = np.zeros((count, dim))
     p = np.zeros((count, dim))
     for a in range(count):
         q[a, 0] = 2.0 * opt["alpha"] * (a - (count - 1) / 2.0)
         p[a, 0] = opt["p"] * 2.0**-a
-    return SingularState(q, p, kernel)
+    return SingularState(q, p, kernel), spec
 
 
 def _cmd_peakon(opt: dict) -> int:
@@ -288,13 +305,12 @@ def _cmd_peakon(opt: dict) -> int:
     _require(opt["dt"] > 0.0, "dt must be positive")
     _require(opt["t_final"] > 0.0, "t-final must be positive")
     _require(opt["method"] in METHODS, f"method must be one of {METHODS}")
-    steps = int(round(opt["t_final"] / opt["dt"]))
-    state = _build_peakon_state(opt)
-    traj = integrate(state, FlowSpec(opt["method"], opt["dt"], steps))
+    state, spec = _build_peakon_run(opt)
+    traj = integrate(state, spec)
     energies = write_trajectory_csv(opt["out"], traj)
     drift = abs(energies[-1] - energies[0])
     print(
-        f"peakon run: steps={steps} final_q1={format_float(traj.q[-1, 0, 0])} "
+        f"peakon run: steps={spec.steps} final_q1={format_float(traj.q[-1, 0, 0])} "
         f"H_drift={format_float(drift)} wrote {opt['out']}"
     )
     return EXIT_OK

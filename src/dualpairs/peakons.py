@@ -15,7 +15,9 @@ action.
 
 Time stepping reuses the canonical integrators: in the rescaled variables
 ``(Q, P w)`` the equations are canonical with this Hamiltonian, so the
-implicit midpoint rule is symplectic for them.
+implicit midpoint rule is symplectic for them.  An exp1d field is made of
+Python floats, so its implicit-midpoint steps run on Python floats too,
+with the NumPy driver's arithmetic.
 
 With the exp1d kernel every pair sum is one sorted scan, O(A log A) per
 state instead of O(A^2): after sorting the positions, the sums of
@@ -188,6 +190,11 @@ _BLOCK_PAIRS = 1 << 16
 # CLI refuses larger runs before building them.
 MAX_PAIRS = 1 << 24
 
+# The most values a trajectory may hold, (steps + 1) * 2 A d doubles (0.5 GB),
+# so one step at MAX_PAIRS exp1d points fits.  The whole path is kept in
+# memory; the CLI refuses longer runs before building any array.
+MAX_TRAJECTORY_VALUES = 1 << 26
+
 
 def _pair_terms(k: KernelSpec, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
     """``(pt_a . pt_b) G(Q_a - Q_b)`` over any leading axes, with ``pt = P w``; H is half their sum."""
@@ -205,14 +212,14 @@ def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
-    """``dH/dq`` then ``dH/dpt`` of the exp1d H at one state, as 2A floats.
+    """The Hamiltonian field ``(dH/dpt, -dH/dq)`` of the exp1d H at one state, as 2A floats.
 
     ``x`` and ``pt`` are the positions and canonical momenta ``P w``.  In
     sorted order, the strictly-left sums ``L_a`` of ``pt_b e^{-(x_a - x_b) / alpha}``
     follow ``L_a = e^{-(x_a - x_{a-1}) / alpha} (L_{a-1} + T_{a-1})``, where
     ``T`` is the total of a group of tied positions, and the strictly-right
     sums ``R_a`` mirror them.  Then ``dH/dpt_a = (L_a + R_a + T_a) / (2 alpha)``
-    and ``dH/dq_a = -pt_a (L_a - R_a) / (2 alpha^2)``, so tied points exert
+    and ``-dH/dq_a = pt_a (L_a - R_a) / (2 alpha^2)``, so tied points exert
     no force on each other (``G'(0) = 0``).  A non-finite position makes
     every entry NaN.
     """
@@ -245,8 +252,8 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
     out = [0.0] * (2 * a)
     two_alpha, two_alpha2 = 2.0 * alpha, 2.0 * alpha * alpha
     for j, p, l, r, t in zip(order, ps, left, right, total):
-        out[j] = -p * (l - r) / two_alpha2
-        out[a + j] = (l + r + t) / two_alpha
+        out[j] = (l + r + t) / two_alpha
+        out[a + j] = p * (l - r) / two_alpha2
     return out
 
 
@@ -272,7 +279,7 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
     if k.family == "exp1d":
         for i in range(t):
             pt = (p[i, :, 0] * w).tolist()
-            field = _exp1d_scan(q[i, :, 0].tolist(), pt, k.alpha)[a:]
+            field = _exp1d_scan(q[i, :, 0].tolist(), pt, k.alpha)[:a]
             out[i] = _half_fsum([u * f for u, f in zip(pt, field)])
         return out
     rows = max(1, _BLOCK_PAIRS // (a * a))
@@ -325,10 +332,14 @@ def _collective_observable(template: SingularState) -> Observable:
         qp = z.reshape(-1, 2, a, d)
         return _hamiltonians(k, qp[:, 0], qp[:, 1], unit).reshape(z.shape[:-1])
 
+    def exp1d_field(u: list) -> list:
+        return _exp1d_scan(u[:a], u[a:], k.alpha)
+
     def gradient(z: np.ndarray):
         if k.family == "exp1d":
-            rows = [_exp1d_scan(row[:a], row[a:], k.alpha) for row in z.reshape(-1, 2 * a).tolist()]
-            return np.array(rows).reshape(z.shape)
+            x = np.array([exp1d_field(row) for row in z.reshape(-1, 2 * a).tolist()]).reshape(z.shape)
+            # negation is exact: these are the bits of dH/dq and dH/dpt
+            return np.concatenate([-x[..., a:], x[..., :a]], axis=-1)
         head = z.shape[:-1]
         q, pt = z[..., : a * d].reshape(head + (a, d)), z[..., a * d :].reshape(head + (a, d))
         g, u = _kernel(k, _differences(q))
@@ -340,7 +351,8 @@ def _collective_observable(template: SingularState) -> Observable:
             [dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1
         )
 
-    return Observable(value, gradient, name="collective")
+    float_field = exp1d_field if k.family == "exp1d" else None
+    return Observable(value, gradient, name="collective", float_field=float_field)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ asserts that relation on polynomial data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +66,11 @@ class Observable:
     gradient:
         Callable of the same broadcasting shape returning ``(..., 2n)``,
         the exact gradient of ``value``.
+    float_field:
+        Optional callable mapping one point, a list of 2n Python floats, to
+        ``X_h`` there as a list of 2n floats, bit for bit the field that
+        ``gradient`` gives.  With it, :func:`flow` runs implicit midpoint on
+        Python floats instead of NumPy arrays, with the same arithmetic.
     """
 
     def __init__(
@@ -73,10 +79,12 @@ class Observable:
         gradient: Callable[[np.ndarray], np.ndarray],
         *,
         name: str = "",
+        float_field: Callable[[list], list] | None = None,
     ):
         self._value = value
         self._gradient = gradient
         self.name = name
+        self.float_field = float_field
 
     def value(self, m) -> np.ndarray:
         return np.asarray(self._value(np.asarray(m, dtype=float)), dtype=float)
@@ -172,6 +180,24 @@ def _midpoint_step(h: Observable, m: np.ndarray, dt: float, step_index: int) -> 
     raise SolverDivergenceError(step_index)
 
 
+def _midpoint_step_floats(field: Callable[[list], list], u: list, dt: float, step_index: int) -> list:
+    # _midpoint_step and _step_once's finite check for one state held as a
+    # list of Python floats: the same operations in the same order give the
+    # same doubles.  NumPy's max is NaN when any increment is NaN, Python's
+    # may skip it, so a step with a NaN increment does not count as converged.
+    y = [f * dt + v for f, v in zip(field(u), u)]
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        mid = [(v + w) * 0.5 for v, w in zip(u, y)]
+        y_next = [f * dt + v for f, v in zip(field(mid), u)]
+        gaps = [abs(a - b) for a, b in zip(y_next, y)]
+        y = y_next
+        if max(gaps) <= _FIXED_POINT_TOL * (1.0 + max(map(abs, y))) and not any(map(math.isnan, gaps)):
+            if not all(map(math.isfinite, y)):
+                raise SolverDivergenceError(step_index)
+            return y
+    raise SolverDivergenceError(step_index)
+
+
 def _rk4_step(h: Observable, m: np.ndarray, dt: float) -> np.ndarray:
     k1 = hamiltonian_vector_field(h, m)
     k2 = hamiltonian_vector_field(h, m + 0.5 * dt * k1)
@@ -210,13 +236,20 @@ def flow(h: Observable, m0, spec: FlowSpec) -> np.ndarray:
 
     Returns an array of shape ``(steps + 1, 2n)`` whose first row is ``m0``.
     Implicit midpoint (the symplectic default) uses a fixed-point iteration
-    with tolerance 1e-13 and at most 50 iterations per step.  Non-convergence,
-    or a non-finite state after a step of either method, raises
+    with tolerance 1e-13 and at most 50 iterations per step; it runs on
+    Python floats when ``h`` has a ``float_field``.  Non-convergence, or a
+    non-finite state after a step of either method, raises
     :class:`SolverDivergenceError` carrying the step index.
     """
     m = phase_point(m0)
     out = np.empty((spec.steps + 1, m.size), dtype=float)
     out[0] = m
+    if h.float_field is not None and spec.method == "implicit-midpoint":
+        u = m.tolist()
+        for k in range(spec.steps):
+            u = _midpoint_step_floats(h.float_field, u, spec.dt, k)
+            out[k + 1] = u
+        return out
     for k in range(spec.steps):
         m = _step_once(h, m, spec, k)
         out[k + 1] = m

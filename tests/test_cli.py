@@ -259,6 +259,73 @@ def test_exp1d_runs_count_one_pair_per_point(capsys, tmp_path, monkeypatch):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "2", "--dt", "1e-9", "--t-final", "1000"), "t-final / dt = 1000000000000 steps"),
+        (("--t-final", "1e308", "--dt", "1e-308"), "t-final / dt = inf steps"),
+    ],
+    ids=["29-TiB", "step-count-overflow"],
+)
+def test_peakon_refuses_runs_over_the_trajectory_budget(capsys, tmp_path, monkeypatch, argv, message):
+    def built(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "SingularState", built)
+    path = tmp_path / "huge.csv"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "peakon", *argv, "--out", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in err
+    assert f"over the limit of {peakons.MAX_TRAJECTORY_VALUES} trajectory values" in err
+    assert "(peakons.MAX_TRAJECTORY_VALUES, at most" in err
+    assert out == ""
+    assert not path.exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [(("--n", "2"), 4), (("--n", "3", "--dim", "2"), 12), (("--filament", "--nodes", "12"), 48)],
+    ids=["exp1d", "gaussian", "filament"],
+)
+def test_peakon_trajectory_budget_counts_every_row(capsys, tmp_path, monkeypatch, argv, width):
+    steps = ("--dt", "0.01", "--t-final", "0.05")  # 5 steps, 6 rows
+    monkeypatch.setattr(peakons, "MAX_TRAJECTORY_VALUES", 6 * width)
+    path = tmp_path / "fits.csv"
+    code, _, _ = run(capsys, "peakon", *argv, *steps, "--out", str(path))
+    assert code == 0
+    assert len(read_rows(path)) == 1 + 6
+    monkeypatch.setattr(peakons, "MAX_TRAJECTORY_VALUES", 6 * width - 1)
+    path = tmp_path / "big.csv"
+    code, _, err = run(capsys, "peakon", *argv, *steps, "--out", str(path))
+    assert code == 2
+    assert f"5 steps need steps + 1 rows of 2·A·d = {width} values" in err
+    assert "at most 5 rows" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, count, dim",
+    [
+        (1.0, 1.0, peakons.MAX_PAIRS, 1),  # one step at the most exp1d points
+        (20.0, 1e-3, 2, 1),
+        (0.5, 1e-3, 96, 1),
+        (0.005, 1e-3, 20000, 1),
+        (3.0, 1.0, 3, 2),
+        (0.5, 0.01, 64, 2),
+        (1.5, 0.01, 256, 2),
+    ],
+)
+def test_tested_and_benchmarked_runs_fit_the_trajectory_budget(t_final, dt, count, dim):
+    steps = round(t_final / dt)
+    assert cli._require_trajectory_budget({"t_final": t_final, "dt": dt}, count, dim) == steps
+
+
 @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
 def test_exp1d_overflow_is_numeric_divergence(capsys, tmp_path, method):
     # overflowing positions reach the scan as inf and NaN; it must answer NaN, never raise
