@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDivergenceError
+from .fields import _fsum
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -75,6 +76,9 @@ class KernelSpec:
             raise ValueError(f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
         if not (float(self.alpha) > 0.0):
             raise ValueError(f"kernel length scale must be positive, got {self.alpha}")
+        # both kernels divide by 2 alpha^2, which must not underflow to 0
+        if not (2.0 * self.alpha * self.alpha > 0.0):
+            raise ValueError(f"kernel length scale alpha = {self.alpha} is too small: 2·alpha² underflows to 0")
 
 
 def _check_kernel_dim(k: KernelSpec, d: int) -> None:
@@ -257,10 +261,13 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
     return out
 
 
-def _half_fsum(terms) -> float:
-    """Half the exactly rounded sum; NaN where ``math.fsum`` overflows or meets ``inf - inf``."""
+def _half_fsum(terms, fsum=math.fsum) -> float:
+    """Half the exactly rounded sum; NaN where ``math.fsum`` overflows or meets ``inf - inf``.
+
+    ``fsum`` is ``math.fsum`` or ``fields._fsum``, which returns the same double.
+    """
     try:
-        return 0.5 * math.fsum(terms)
+        return 0.5 * fsum(terms)
     except (OverflowError, ValueError):
         return math.nan
 
@@ -271,8 +278,9 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
     it.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one scan per row, converted
     to lists one row at a time.  gaussian: pair terms in blocks of rows;
-    they are bitwise symmetric, so the ``fsum`` of the doubled strict upper
-    triangle and the diagonal is exactly the full-matrix one.
+    they are bitwise symmetric, so the exactly rounded sum (``fields._fsum``)
+    of the doubled strict upper triangle and the diagonal is exactly the
+    full-matrix one.
     """
     t, a = q.shape[:2]
     out = np.empty(t)
@@ -287,8 +295,11 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
     for start in range(0, t, rows):
         block = slice(start, start + rows)
         terms = _pair_terms(k, q[block], p[block] * w[:, None])
-        halves = np.concatenate([2.0 * terms[:, upper], np.diagonal(terms, axis1=1, axis2=2)], axis=1)
-        out[block] = [_half_fsum(memoryview(row)) for row in halves]
+        doubled = terms[:, upper]
+        doubled *= 2.0
+        halves = np.concatenate([doubled, np.diagonal(terms, axis1=1, axis2=2)], axis=1)
+        del terms, doubled  # fields._fsum's temporaries come on top of what is alive here
+        out[block] = [_half_fsum(row, _fsum) for row in halves]
     return out
 
 

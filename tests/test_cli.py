@@ -223,6 +223,24 @@ def test_peakon_rejects_non_finite_numbers(capsys, tmp_path, flag, value):
     assert "must be finite" in err
 
 
+def test_peakon_alpha_whose_square_underflows_is_a_usage_error(capsys, tmp_path):
+    # the exp1d scan divides by 2 alpha^2, which is 0 at alpha = 1e-200
+    path = tmp_path / "tiny.csv"
+    code, out, err = run(capsys, "peakon", "--alpha", "1e-200", "--out", str(path))
+    assert code == 2
+    assert "alpha = 1e-200" in err and "underflows" in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_peakon_runs_at_an_alpha_whose_square_is_subnormal(capsys, tmp_path):
+    path = tmp_path / "small.csv"
+    code, out, _ = run(capsys, "peakon", "--alpha", "1e-160", "--out", str(path))
+    assert code == 0
+    assert "steps=5000" in out
+    assert len(read_rows(path)) == 5002
+
+
 @pytest.mark.parametrize("argv", [["--filament", "--nodes", "11"], ["--n", "11", "--dim", "2"]])
 def test_peakon_refuses_runs_over_the_pair_budget(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(peakons, "MAX_PAIRS", 100)

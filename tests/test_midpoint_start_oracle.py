@@ -1,0 +1,158 @@
+"""Extrapolated implicit-midpoint starts against the Euler-start driver they replaced.
+
+``flow`` starts each step from the fourth on at the cubic extrapolation of
+the last four trajectory rows.  The Euler-start loop below is the step every
+step used before; the two must agree to round-off on the benchmarked runs,
+stop at the same step on collisions and overflows, and the extrapolated
+start must save field evaluations.
+"""
+
+import numpy as np
+import pytest
+
+from dualpairs import cli
+from dualpairs.errors import SolverDivergenceError
+from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.symplectic import (
+    _FIXED_POINT_MAX_ITER,
+    _FIXED_POINT_TOL,
+    FlowSpec,
+    Observable,
+    flow,
+    hamiltonian_vector_field,
+    phase_point,
+)
+
+
+def euler_start_step(h, m, dt, step_index):
+    """One implicit-midpoint step whose fixed-point iteration starts at the Euler predictor."""
+    y = hamiltonian_vector_field(h, m)
+    y *= dt
+    y += m
+    mid = np.empty_like(y)
+    scratch = np.empty_like(y)
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        np.add(m, y, out=mid)
+        mid *= 0.5
+        y_next = hamiltonian_vector_field(h, mid)
+        y_next *= dt
+        y_next += m
+        delta = float(np.abs(np.subtract(y_next, y, out=scratch), out=scratch).max())
+        y = y_next
+        if delta <= _FIXED_POINT_TOL * (1.0 + float(np.abs(y, out=scratch).max())):
+            return y
+    raise SolverDivergenceError(step_index)
+
+
+def euler_start_flow(h, m0, spec):
+    """``flow`` for implicit midpoint with an Euler start at every step, on NumPy arrays."""
+    m = phase_point(m0)
+    out = np.empty((spec.steps + 1, m.size))
+    out[0] = m
+    for k in range(spec.steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = euler_start_step(h, m, spec.dt, k)
+        if not np.isfinite(m).all():
+            raise SolverDivergenceError(k)
+        out[k + 1] = m
+    return out
+
+
+def counted(h):
+    """``h`` with every field evaluation tallied, on whichever driver ``flow`` picks."""
+    calls = [0]
+
+    def tally(field):
+        def wrapped(z):
+            calls[0] += 1
+            return field(z)
+
+        return wrapped
+
+    float_field = None if h.float_field is None else tally(h.float_field)
+    return Observable(h.value, tally(h.gradient), name=h.name, float_field=float_field), calls
+
+
+def oscillator():
+    return Observable(lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2), lambda z: z.copy(), name="oscillator")
+
+
+def cli_run(*argv):
+    """The collective observable, initial point and flow request of a ``peakon`` command line."""
+    opt = cli._resolve(cli._build_parser().parse_args(["peakon", *argv]), "peakon")
+    state, spec = cli._build_peakon_run(opt)
+    return _collective_observable(state), _canonical_point(state), spec
+
+
+RUNS = {
+    "peakon-n2": lambda: cli_run("--n", "2", "--t-final", "20"),
+    "peakon-n96": lambda: cli_run("--n", "96", "--dt", "1e-3", "--t-final", "0.5"),
+    "filament-256": lambda: cli_run("--filament", "--nodes", "256", "--dt", "0.01", "--t-final", "1.5"),
+    "oscillator": lambda: (oscillator(), np.array([0.7, -0.3]), FlowSpec("implicit-midpoint", 0.05, 400)),
+}
+
+# field evaluations per step that the extrapolated start must not exceed (Euler start: 3.42, 4.0, 5.0)
+MOST_EVALS_PER_STEP = {"peakon-n2": 2.05, "peakon-n96": 2.05, "filament-256": 4.05}
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Each run once: (trajectory, field evaluations per step, Euler-start trajectory)."""
+    done = {}
+    for name, build in RUNS.items():
+        h, z, spec = build()
+        tallied, calls = counted(h)
+        path = flow(tallied, z, spec)
+        done[name] = path, calls[0] / spec.steps, euler_start_flow(h, z, spec)
+    return done
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_extrapolated_starts_agree_with_the_euler_start_to_round_off(runs, name):
+    path, _, oracle = runs[name]
+    assert path.shape == oracle.shape
+    assert np.array_equal(path[:4], oracle[:4])  # steps 0-2 keep the Euler start
+    assert np.abs(path - oracle).max() <= 1e-12 * max(1.0, float(np.abs(oracle).max()))
+
+
+@pytest.mark.parametrize("name", list(MOST_EVALS_PER_STEP))
+def test_extrapolated_starts_save_field_evaluations(runs, name):
+    assert runs[name][1] <= MOST_EVALS_PER_STEP[name]
+
+
+def test_the_euler_start_oracle_counts_its_evaluations():
+    # the predictor plus at least one corrector iteration in every step
+    h, z, spec = RUNS["peakon-n96"]()
+    tallied, calls = counted(h)
+    euler_start_flow(tallied, z, spec)
+    assert calls[0] / spec.steps >= 3.0
+
+
+def outcome(run, h, z, spec):
+    try:
+        run(h, z, spec)
+    except SolverDivergenceError as exc:
+        return exc.step
+    return None
+
+
+@pytest.mark.parametrize("dt, step", [(1e-3, 3563), (0.05, 69), (0.2, 16)])
+def test_peakon_antipeakon_collision_stops_at_the_euler_start_step(dt, step):
+    st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), KernelSpec("exp1d", 1.0))
+    h, z, spec = _collective_observable(st), _canonical_point(st), FlowSpec("implicit-midpoint", dt, round(4.0 / dt))
+    assert outcome(flow, h, z, spec) == outcome(euler_start_flow, h, z, spec) == step
+
+
+@pytest.mark.parametrize("p", [[1e160, -1e160], [-1e160, 1e160], [1e160, 1e160]])
+def test_overflowing_states_stop_at_the_euler_start_step(p):
+    st = SingularState(np.array([[0.0], [0.5]]), np.array(p)[:, None], KernelSpec("exp1d", 1.0))
+    h, z, spec = _collective_observable(st), _canonical_point(st), FlowSpec("implicit-midpoint", 0.1, 5)
+    assert outcome(flow, h, z, spec) == outcome(euler_start_flow, h, z, spec) == 0
+
+
+def test_rk4_is_not_extrapolated():
+    # rk4 has no fixed-point iteration to start: the same 4 evaluations per step as before
+    h, z, _ = RUNS["peakon-n96"]()
+    tallied, calls = counted(h)
+    flow(tallied, z, FlowSpec("rk4", 1e-3, 20))
+    assert calls[0] == 80

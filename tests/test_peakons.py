@@ -82,6 +82,14 @@ def test_kernel_validation():
         KernelSpec("gaussian", -1.0)
 
 
+@pytest.mark.parametrize("family", ["exp1d", "gaussian"])
+def test_kernel_length_scale_whose_square_underflows_is_refused(family):
+    # both kernels divide by 2 alpha^2: 0 at alpha = 1e-200, a subnormal at 1e-160
+    with pytest.raises(ValueError, match="alpha = 1e-200"):
+        KernelSpec(family, 1e-200)
+    assert KernelSpec(family, 1e-160).alpha == 1e-160
+
+
 # -- states ----------------------------------------------------------------------
 
 
@@ -586,3 +594,26 @@ def test_trajectory_csv_refuses_a_non_finite_hamiltonian(tmp_path, monkeypatch, 
         write_trajectory_csv(path, traj)
     assert info.value.step == 2
     assert not path.exists()
+
+
+def test_gaussian_hamiltonians_equal_the_math_fsum_version_bitwise():
+    # rows of 60 points (1830 terms) take fields._fsum's bucket sums; scaled rows reach its
+    # math.fsum fallbacks: finite terms whose sum overflows, and inf terms of both signs
+    rng = np.random.default_rng(14)
+    rows, count = 12, 60
+    q = rng.normal(size=(rows, count, 2))
+    p = rng.normal(size=(rows, count, 2))
+    p *= np.array([1.0, 1e-160, 1e100, 1e150, 2e153, 1e155, 1e160, 1.0, 3.0, 1e-5, 1e153, 5e153])[:, None, None]
+    w = rng.uniform(0.5, 1.5, count)
+    k = KernelSpec("gaussian", 0.9)
+    h = Trajectory(np.arange(rows) * 0.1, q, p, w, k).hamiltonians()
+    upper = np.triu(np.ones((count, count), dtype=bool), 1)
+    for i in range(rows):
+        terms = _pair_terms(k, q[i], p[i] * w[:, None])
+        halves = np.concatenate([2.0 * terms[upper], np.diagonal(terms)])
+        try:
+            expected = 0.5 * math.fsum(halves.tolist())
+        except (OverflowError, ValueError):
+            expected = math.nan
+        assert h[i] == expected or (math.isnan(h[i]) and math.isnan(expected))
+    assert np.isnan(h).any() and np.isfinite(h).sum() >= 6
