@@ -340,6 +340,19 @@ def _swirl_observable() -> Observable:
     return Observable(value, gradient, name="swirl")
 
 
+def _pairing_at(f, abar, k: int) -> float:
+    """The momentum pairing of ``f``.  One that overflows, say after a step that "converged"
+    onto a runaway branch of the implicit equation, is the divergence of step ``k``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            jk = averaged_momentum_pair(f, abar)
+        except (OverflowError, ValueError):  # math.fsum met inf - inf, or overflowed
+            jk = math.nan
+    if not math.isfinite(jk):
+        raise SolverDivergenceError(k)
+    return jk
+
+
 def _cmd_advect(opt: dict) -> int:
     _require(opt["flow"] in FLOWS, f"flow must be one of {FLOWS}, got {opt['flow']!r}")
     _require(opt["grid"] >= 4, "grid must be >= 4")
@@ -362,7 +375,7 @@ def _cmd_advect(opt: dict) -> int:
         spec = FlowSpec("implicit-midpoint", dt, 1)
         step = lambda g: left_act(g, swirl, spec)
     abar = cell_average(src, alpha.values)
-    j0 = averaged_momentum_pair(f, abar)
+    j0 = _pairing_at(f, abar, 0)
     scale = max(1.0, abs(j0))
     records = [(0.0, j0, 0.0)]
     for k in range(opt["steps"]):
@@ -371,11 +384,7 @@ def _cmd_advect(opt: dict) -> int:
         except SolverDivergenceError:
             # renumber: the solver sees one step per advection step
             raise SolverDivergenceError(k) from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            jk = averaged_momentum_pair(f, abar)
-        if not math.isfinite(jk):
-            # the step "converged" onto a runaway branch of the implicit equation
-            raise SolverDivergenceError(k)
+        jk = _pairing_at(f, abar, k)
         records.append(((k + 1) * dt, jk, abs(jk - j0) / scale))
     with open(opt["out"], "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -187,6 +187,10 @@ class FilamentState(SingularState):
 # O(A^2) whatever the number of steps.
 _BLOCK_PAIRS = 1 << 16
 
+# Points per block of rows in the exp1d H and in the momentum totals, so that
+# their memory does not grow with the number of steps.
+_BLOCK_POINTS = 1 << 11
+
 # The most kernel pairs a peakon run may ask for: A^2 with the gaussian
 # kernel (A = 4096) and A with exp1d, whose scan touches each point a
 # constant number of times.  A gaussian field evaluation holds d + 2 float
@@ -211,8 +215,12 @@ def _pair_terms(k: KernelSpec, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
 def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``sum_a P_a w_a`` over the support axis of (..., A, d) covectors, one fsum per entry."""
     terms = np.moveaxis(p * w[:, None], -2, -1)
-    sums = [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
-    return np.array(sums).reshape(terms.shape[:-1])
+    rows = terms.reshape(-1, terms.shape[-1])
+    sums = np.empty(len(rows))
+    step = max(1, _BLOCK_POINTS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        sums[start : start + step] = [math.fsum(row) for row in rows[start : start + step].tolist()]
+    return sums.reshape(terms.shape[:-1])
 
 
 def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
@@ -234,19 +242,21 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
     xs = [x[i] for i in order]
     ps = [pt[i] for i in order]
     left = [0.0] * a
-    total = [0.0] * a
+    total = ps[:]  # a lone point is its own group total
     decay = [1.0] * a
     carry, group, start = 0.0, ps[0], 0
     for i in range(1, a):
         if xs[i] != xs[i - 1]:
             f = decay[i] = math.exp((xs[i - 1] - xs[i]) / alpha)
-            total[start:i] = [group] * (i - start)
+            if i - start > 1:
+                total[start:i] = [group] * (i - start)
             carry = f * (carry + group)
             group, start = ps[i], i
         else:
             group += ps[i]
         left[i] = carry
-    total[start:] = [group] * (a - start)
+    if a - start > 1:
+        total[start:] = [group] * (a - start)
     right = [0.0] * a
     carry = 0.0
     for i in range(a - 1, 0, -1):
@@ -259,6 +269,45 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
         out[j] = (l + r + t) / two_alpha
         out[a + j] = p * (l - r) / two_alpha2
     return out
+
+
+def _exp1d_rows(x: np.ndarray, pt: np.ndarray, alpha: float) -> np.ndarray:
+    """``_exp1d_scan`` of each row of (T, A) positions and momenta, bit for bit: (T, 2A).
+
+    Its operations in its order, over all rows at once: a stable sort (the
+    tie order of ``sorted``), ``math.exp`` (``np.exp`` may differ in the last
+    bit), and loops over the A sorted positions.  At a tie the recurrences
+    multiply by e^0 = 1 and add -0.0, which keeps every double.
+    """
+    t, a = x.shape
+    bad = ~np.isfinite(x).all(axis=1)
+    x = np.where(bad[:, None], 0.0, x).T
+    order = np.argsort(x, axis=0, kind="stable")
+    cols = np.arange(t)
+    xs, ps = x[order, cols], pt.T[order, cols]
+    tie = xs[1:] == xs[:-1]
+    gaps = (xs[:-1] - xs[1:]) / alpha
+    decay = np.array(list(map(math.exp, gaps.ravel().tolist()))).reshape(gaps.shape)  # 1 at a tie
+    total = ps.copy()
+    tied = np.flatnonzero(tie.any(axis=1)) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in tied:  # running sums over tied neighbours, then filled back over each group
+            np.add(total[i - 1], ps[i], out=total[i], where=tie[i - 1])
+        for i in tied[::-1]:
+            np.copyto(total[i - 1], total[i], where=tie[i - 1])
+        # the left sums run forward and the right sums backward, side by side: one step does both
+        steps = np.stack([np.where(tie, -0.0, total[:-1]), np.where(tie, -0.0, total[1:])[::-1]], axis=1)
+        sums = np.zeros((a, 2, t))
+        rows = list(sums)
+        for prev, cur, step, f in zip(rows, rows[1:], steps, np.stack([decay, decay[::-1]], axis=1)):
+            np.add(prev, step, out=cur)
+            np.multiply(cur, f, out=cur)
+        left, right = sums[:, 0], sums[::-1, 1]
+        field = np.empty((2, a, t))
+        field[0, order, cols] = (left + right + total) / (2.0 * alpha)
+        field[1, order, cols] = ps * (left - right) / (2.0 * alpha * alpha)
+    field[:, :, bad] = math.nan
+    return field.reshape(2 * a, t).T
 
 
 def _half_fsum(terms, fsum=math.fsum) -> float:
@@ -276,19 +325,21 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
     """H at each state of a (T, A, d) stack of positions and covectors with masses ``w``.
 
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
-    it.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one scan per row, converted
-    to lists one row at a time.  gaussian: pair terms in blocks of rows;
-    they are bitwise symmetric, so the exactly rounded sum (``fields._fsum``)
-    of the doubled strict upper triangle and the diagonal is exactly the
-    full-matrix one.
+    it, in blocks of rows.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one row
+    scan per block.  gaussian: pair terms; they are bitwise symmetric, so
+    the exactly rounded sum (``fields._fsum``) of the doubled strict upper
+    triangle and the diagonal is exactly the full-matrix one.
     """
     t, a = q.shape[:2]
     out = np.empty(t)
     if k.family == "exp1d":
-        for i in range(t):
-            pt = (p[i, :, 0] * w).tolist()
-            field = _exp1d_scan(q[i, :, 0].tolist(), pt, k.alpha)[:a]
-            out[i] = _half_fsum([u * f for u, f in zip(pt, field)])
+        rows = max(1, _BLOCK_POINTS // a)
+        for start in range(0, t, rows):
+            block = slice(start, start + rows)
+            pt = p[block, :, 0] * w
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = pt * _exp1d_rows(q[block, :, 0], pt, k.alpha)[:, :a]
+            out[block] = [_half_fsum(row) for row in terms.tolist()]
         return out
     rows = max(1, _BLOCK_PAIRS // (a * a))
     upper = np.triu(np.ones((a, a), dtype=bool), 1)
@@ -348,7 +399,8 @@ def _collective_observable(template: SingularState) -> Observable:
 
     def gradient(z: np.ndarray):
         if k.family == "exp1d":
-            x = np.array([exp1d_field(row) for row in z.reshape(-1, 2 * a).tolist()]).reshape(z.shape)
+            rows = z.reshape(-1, 2 * a)
+            x = _exp1d_rows(rows[:, :a], rows[:, a:], k.alpha).reshape(z.shape)
             # negation is exact: these are the bits of dH/dq and dH/dpt
             return np.concatenate([-x[..., a:], x[..., :a]], axis=-1)
         head = z.shape[:-1]

@@ -424,6 +424,36 @@ def test_advect_numeric_divergence(capsys, tmp_path):
     assert "numeric divergence at step 0" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, step",
+    [("--dt", "1e308", 1), ("--amplitude", "1e154", 0)],
+    ids=["second-step-overflows", "initial-pairing-overflows"],
+)
+def test_advect_overflowing_pairing_is_numeric_divergence(capsys, tmp_path, flag, value, step):
+    # the pairing's exact sum meets inf - inf: a numeric divergence, not a usage error
+    path = tmp_path / "overflow.csv"
+    code, _, err = run(
+        capsys, "advect", "--flow", "shear", "--grid", "64", "--steps", "3", flag, value,
+        "--out", str(path),
+    )
+    assert code == 4
+    assert err == f"numeric divergence at step {step}\n"
+    assert not path.exists()
+
+
+def test_advect_huge_finite_pairings_still_run(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    code, _, err = run(
+        capsys, "advect", "--flow", "shear", "--grid", "64", "--steps", "3", "--dt", "1e306",
+        "--out", str(path),
+    )
+    assert code == 0 and err == ""
+    rows = read_rows(path)
+    assert len(rows) == 1 + 4
+    assert all(math.isfinite(float(value)) for row in rows[1:] for value in row)
+    assert float(rows[-1][1]) != 0.0
+
+
 # -- configuration files ----------------------------------------------------------
 
 
