@@ -261,6 +261,7 @@ def _require_trajectory_budget(opt: dict, count: int, dim: int) -> int:
     """The step count; the (steps + 1, 2·A·d) trajectory is kept whole, so it must fit the budget."""
     ratio = opt["t_final"] / opt["dt"]
     steps = round(ratio) if math.isfinite(ratio) else math.inf
+    _require(steps > 0, f"t-final / dt = {ratio:.6g} rounds to 0 steps")
     width = 2 * count * dim
     _require(
         (steps + 1) * width <= peakons.MAX_TRAJECTORY_VALUES,

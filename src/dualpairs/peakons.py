@@ -272,7 +272,7 @@ def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
 
 
 def _exp1d_rows(x: np.ndarray, pt: np.ndarray, alpha: float) -> np.ndarray:
-    """``_exp1d_scan`` of each row of (T, A) positions and momenta, bit for bit: (T, 2A).
+    """dH/dpt from ``_exp1d_scan`` at each row of (T, A) positions and momenta, bit for bit: (T, A).
 
     Its operations in its order, over all rows at once: a stable sort (the
     tie order of ``sorted``), ``math.exp`` (``np.exp`` may differ in the last
@@ -303,11 +303,10 @@ def _exp1d_rows(x: np.ndarray, pt: np.ndarray, alpha: float) -> np.ndarray:
             np.add(prev, step, out=cur)
             np.multiply(cur, f, out=cur)
         left, right = sums[:, 0], sums[::-1, 1]
-        field = np.empty((2, a, t))
-        field[0, order, cols] = (left + right + total) / (2.0 * alpha)
-        field[1, order, cols] = ps * (left - right) / (2.0 * alpha * alpha)
-    field[:, :, bad] = math.nan
-    return field.reshape(2 * a, t).T
+        field = np.empty((a, t))
+        field[order, cols] = (left + right + total) / (2.0 * alpha)
+    field[:, bad] = math.nan
+    return field.T
 
 
 def _half_fsum(terms, fsum=math.fsum) -> float:
@@ -338,7 +337,7 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
             block = slice(start, start + rows)
             pt = p[block, :, 0] * w
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = pt * _exp1d_rows(q[block, :, 0], pt, k.alpha)[:, :a]
+                terms = pt * _exp1d_rows(q[block, :, 0], pt, k.alpha)
             out[block] = [_half_fsum(row) for row in terms.tolist()]
         return out
     rows = max(1, _BLOCK_PAIRS // (a * a))
@@ -399,8 +398,7 @@ def _collective_observable(template: SingularState) -> Observable:
 
     def gradient(z: np.ndarray):
         if k.family == "exp1d":
-            rows = z.reshape(-1, 2 * a)
-            x = _exp1d_rows(rows[:, :a], rows[:, a:], k.alpha).reshape(z.shape)
+            x = np.array([exp1d_field(row) for row in z.reshape(-1, 2 * a).tolist()]).reshape(z.shape)
             # negation is exact: these are the bits of dH/dq and dH/dpt
             return np.concatenate([-x[..., a:], x[..., :a]], axis=-1)
         head = z.shape[:-1]

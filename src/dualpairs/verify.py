@@ -188,6 +188,16 @@ def _constant_observable(c: float) -> Observable:
     )
 
 
+def _oscillator() -> Observable:
+    """``|z|^2 / 2`` on R^2; its float field ``(p, -q)`` is its gradient's field bit for bit."""
+    return Observable(
+        lambda z: 0.5 * np.einsum("...i,...i->...", z, z),
+        lambda z: z.copy(),
+        name="oscillator",
+        float_field=lambda u: [u[1], -u[0]],
+    )
+
+
 def _study_filament(nodes: int, kernel: KernelSpec | None = None) -> FilamentState:
     """A smooth closed curve with mixed tangential/normal covectors."""
     kernel = kernel or KernelSpec("gaussian", 0.8)
@@ -326,13 +336,8 @@ def numeric_suite(seed: int = 7, n: int = 16, tol: float | None = None) -> list[
         )
     )
 
-    osc = Observable(
-        lambda z: 0.5 * np.einsum("...i,...i->...", z, z),
-        lambda z: z.copy(),
-        name="oscillator",
-    )
     t_final = 6.283
-    path = flow(osc, [1.0, 0.0], FlowSpec("implicit-midpoint", 1e-3, 6283))
+    path = flow(_oscillator(), [1.0, 0.0], FlowSpec("implicit-midpoint", 1e-3, 6283))
     target = np.array([math.cos(t_final), -math.sin(t_final)])
     rows.append(_row("oscillator-endpoint", np.max(np.abs(path[-1] - target)), 1e-5))
 

@@ -328,6 +328,40 @@ def test_peakon_trajectory_budget_counts_every_row(capsys, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "argv, ratio",
+    [
+        (("--t-final", "1e-9"), "1e-06"),
+        (("--t-final", "0.0005", "--dt", "0.001"), "0.5"),  # rounds half to even
+        (("--filament", "--nodes", "8", "--t-final", "1e-9"), "1e-06"),
+    ],
+    ids=["exp1d", "half-a-step", "filament"],
+)
+def test_peakon_refuses_runs_that_round_to_zero_steps(capsys, tmp_path, monkeypatch, argv, ratio):
+    def built(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "SingularState", built)
+    monkeypatch.setattr(cli, "FilamentState", built)
+    path = tmp_path / "empty.csv"
+    code, out, err = run(capsys, "peakon", *argv, "--out", str(path))
+    assert code == 2
+    assert f"t-final / dt = {ratio} rounds to 0 steps" in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_peakon_runs_one_step_from_half_past_a_step(capsys, tmp_path):
+    path = tmp_path / "one.csv"
+    code, out, _ = run(capsys, "peakon", "--t-final", "0.0015", "--dt", "0.001", "--out", str(path))
+    assert code == 0
+    assert "steps=2" in out  # 1.5 rounds half to even
+    code, out, _ = run(capsys, "peakon", "--t-final", "0.0006", "--dt", "0.001", "--out", str(path))
+    assert code == 0
+    assert "steps=1" in out
+    assert len(read_rows(path)) == 1 + 2
+
+
+@pytest.mark.parametrize(
     "t_final, dt, count, dim",
     [
         (1.0, 1.0, peakons.MAX_PAIRS, 1),  # one step at the most exp1d points

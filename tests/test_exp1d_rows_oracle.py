@@ -124,3 +124,21 @@ def test_overflowing_rows_are_not_finite():
     assert np.isposinf(h[:2]).all()
     assert np.isnan(h[2:4]).all()
     assert np.isfinite(h[4])
+
+
+def test_rows_equal_the_dh_dpt_half_of_one_list_scan_per_row():
+    # The H column reads only dH/dpt, and a signed zero there does not reach H once a row has a
+    # nonzero term, so the block is also checked on its own.  In the first row e^-1000 is 0, so
+    # each sum reaches the tie at 1000 as 0 * -1 = -0.0, and the tied zero momenta total -0.0:
+    # dH/dpt there is -0.0 only if both sums keep their sign across the tie.
+    q = np.array([[0.0, 1000.0, 1000.0, 2000.0], [2000.0, 1000.0, 0.0, 1000.0]])
+    p = np.array([[-1.0, -0.0, -0.0, -1.0], [-1.0, -0.0, -1.0, -0.0]])
+    rows = [(q, p, 1.0)]
+    for count, lattice in ((1, True), (3, True), (12, True), (96, False)):
+        x, m, w = random_rows(7 * count, 9, count, lattice)
+        rows.append((x[:, :, 0], m[:, :, 0] * w, 0.9))
+    for x, pt, alpha in rows:
+        want = np.array([_exp1d_scan(r, s, alpha)[: x.shape[1]] for r, s in zip(x.tolist(), pt.tolist())])
+        assert_same_doubles(peakons._exp1d_rows(x, pt, alpha), want)
+    tied = peakons._exp1d_rows(q, p, 1.0)
+    assert np.signbit([tied[0, 1], tied[0, 2], tied[1, 1], tied[1, 3]]).all()
