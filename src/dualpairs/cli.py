@@ -6,7 +6,9 @@ map advected by a flow on the target, with the conserved momentum pairing
 logged), ``converge`` (grid-refinement studies with fitted orders).
 
 Configuration merges three layers, strongest first: command-line flags, a
-``key = value`` config file (``--config``), built-in defaults.  Unknown
+``key = value`` config file (``--config``), built-in defaults.  Each option
+is declared once, in ``_OPTIONS``: that row makes both its flag and its
+config key, checks its range and writes its ``--help`` line.  Unknown
 config keys are hard errors.  All floats are printed with 17 significant
 digits; CSV files are RFC-4180 with a header row, so identical seed and
 configuration reproduce identical bytes.
@@ -68,54 +70,55 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _as_grids(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
+def _as_grids(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in str(text).split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# Per-subcommand option tables: name -> (parser-for-config-values, default).
+# The only declaration of each option: ``--name`` on the command line and ``name`` in a
+# config file.  name -> (parser of both, default, accepted values, help).  Accepted values
+# are a tuple of choices, a bound ("positive" or ">= k"; a tuple value meets it entry by
+# entry), or None for any value.
 _OPTIONS = {
     "verify": {
-        "suite": (str, "all"),
-        "seed": (int, 7),
-        "count": (int, 100),
-        "grid": (int, 16),
-        "tol": (float, None),
-        "out": (str, None),
+        "suite": (str, "all", SUITES, "identity suites to run"),
+        "seed": (int, 7, None, "random seed"),
+        "count": (int, 100, ">= 1", "random draws for the exact suite"),
+        "grid": (int, 16, ">= 4", "grid size for the numeric suite"),
+        "tol": (float, None, "positive", "override every row tolerance"),
+        "out": (str, None, None, "CSV output path"),
     },
     "peakon": {
-        "n": (int, 1),
-        "dim": (int, 1),
-        "kernel": (str, None),
-        "alpha": (float, 1.0),
-        "p": (float, 2.0),
-        "dt": (float, 1e-3),
-        "t_final": (float, 5.0),
-        "method": (str, "implicit-midpoint"),
-        "filament": (_as_bool, False),
-        "nodes": (int, 32),
-        "radius": (float, 1.0),
-        "out": (str, "peakon.csv"),
+        "n": (int, 1, None, "number of points (>= 1 without --filament)"),
+        "dim": (int, 1, None, "target dimension (>= 1 without --filament)"),
+        "kernel": (str, None, peakons.KERNEL_FAMILIES, "kernel; exp1d for 1-D points, else gaussian"),
+        "alpha": (float, 1.0, "positive", "kernel length scale"),
+        "p": (float, 2.0, None, "momentum magnitude"),
+        "dt": (float, 1e-3, "positive", "time step"),
+        "t_final": (float, 5.0, "positive", "end time"),
+        "method": (str, "implicit-midpoint", METHODS, "integrator"),
+        "filament": (_as_bool, False, None, "run a closed filament of --nodes nodes"),
+        "nodes": (int, 32, None, "filament node count (>= 3)"),
+        "radius": (float, 1.0, None, "filament radius (positive)"),
+        "out": (str, "peakon.csv", None, "CSV output path"),
     },
     "advect": {
-        "grid": (int, 16),
-        "flow": (str, "shear"),
-        "steps": (int, 100),
-        "dt": (float, 0.0625),
-        "amplitude": (float, 0.3),
-        "seed": (int, 7),
-        "out": (str, "advect.csv"),
+        "grid": (int, 16, ">= 4", "grid size"),
+        "flow": (str, "shear", FLOWS, "flow on the target"),
+        "steps": (int, 100, ">= 0", "advection steps"),
+        "dt": (float, 0.0625, "positive", "time step"),
+        "amplitude": (float, 0.3, "positive", "amplitude of the initial map"),
+        "seed": (int, 7, None, "random seed"),
+        "out": (str, "advect.csv", None, "CSV output path"),
     },
     "converge": {
-        "op": (str, "all"),
-        "grids": (_as_grids, (8, 16, 32)),
-        "seed": (int, 7),
-        "threshold": (float, 1.9),
-        "out": (str, "converge.csv"),
+        "op": (str, "all", verify.CONVERGENCE_OPS + ("all",), "convergence study"),
+        "grids": (_as_grids, (8, 16, 32), ">= 4", "comma-separated ascending grid sizes"),
+        "seed": (int, 7, None, "random seed"),
+        "threshold": (float, 1.9, "positive", "required observed order"),
+        "out": (str, "converge.csv", None, "CSV output path"),
     },
 }
 
@@ -141,14 +144,14 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge CLI flags over config-file values over defaults; float options must be finite."""
+    """Merge CLI flags over config-file values over defaults, and check each value against its row."""
     table = _OPTIONS[command]
     raw = _read_config(args.config) if args.config else {}
     unknown = sorted(set(raw) - set(table))
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {unknown}")
     merged = {}
-    for key, (parse, default) in table.items():
+    for key, (parse, default, accepts, _) in table.items():
         cli_value = getattr(args, key)
         if cli_value is not None:
             merged[key] = cli_value
@@ -159,9 +162,24 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         else:
             merged[key] = default
-        if parse is float and merged[key] is not None and not math.isfinite(merged[key]):
-            raise ValueError(f"{key} must be finite, got {merged[key]}")
+        _check(key.replace("_", "-"), merged[key], parse, accepts)
     return merged
+
+
+def _check(name: str, value, parse, accepts) -> None:
+    """Raise ``ValueError`` unless a set value is finite (if a float) and accepted by its row."""
+    if value is None:
+        return
+    _require(parse is not float or math.isfinite(value), f"{name} must be finite, got {value}")
+    if isinstance(accepts, tuple):
+        _require(value in accepts, f"{name} must be one of {accepts}, got {value!r}")
+    elif isinstance(value, tuple):  # named in the plural of its entries: "grids", each grid
+        for entry in value:
+            _check(name.removesuffix("s"), entry, parse, accepts)
+    elif accepts == "positive":
+        _require(value > 0, f"{name} must be positive, got {value}")
+    elif accepts is not None:
+        _require(value >= int(accepts.removeprefix(">= ")), f"{name} must be {accepts}, got {value}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -196,11 +214,8 @@ def _print_row(row) -> None:
 
 
 def _cmd_verify(opt: dict) -> int:
-    _require(opt["suite"] in SUITES, f"suite must be one of {SUITES}, got {opt['suite']!r}")
-    _require(opt["count"] >= 1, "count must be >= 1")
-    _require(opt["grid"] >= 4, "grid must be >= 4")
+    """run identity suites, one row per invariant"""
     _require_grid_budget(opt["grid"])
-    _require(opt["tol"] is None or opt["tol"] > 0.0, "tol must be positive")
     rows = []
     if opt["suite"] in ("exact", "all"):
         rows += verify.exact_suite(opt["seed"], opt["count"])
@@ -216,13 +231,8 @@ def _cmd_verify(opt: dict) -> int:
 
 
 def _cmd_converge(opt: dict) -> int:
+    """grid-refinement studies with fitted orders"""
     ops = verify.CONVERGENCE_OPS if opt["op"] == "all" else (opt["op"],)
-    for op in ops:
-        _require(
-            op in verify.CONVERGENCE_OPS,
-            f"op must be one of {verify.CONVERGENCE_OPS + ('all',)}, got {op!r}",
-        )
-    _require(opt["threshold"] > 0.0, "threshold must be positive")
     for grid in opt["grids"]:
         _require_grid_budget(grid)
     rows = []
@@ -302,10 +312,7 @@ def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
 
 
 def _cmd_peakon(opt: dict) -> int:
-    _require(opt["alpha"] > 0.0, "alpha must be positive")
-    _require(opt["dt"] > 0.0, "dt must be positive")
-    _require(opt["t_final"] > 0.0, "t-final must be positive")
-    _require(opt["method"] in METHODS, f"method must be one of {METHODS}")
+    """collective N-body run (point or filament)"""
     state, spec = _build_peakon_run(opt)
     traj = integrate(state, spec)
     energies = write_trajectory_csv(opt["out"], traj)
@@ -355,12 +362,8 @@ def _pairing_at(f, abar, k: int) -> float:
 
 
 def _cmd_advect(opt: dict) -> int:
-    _require(opt["flow"] in FLOWS, f"flow must be one of {FLOWS}, got {opt['flow']!r}")
-    _require(opt["grid"] >= 4, "grid must be >= 4")
+    """advect a grid map by a flow on the target"""
     _require_grid_budget(opt["grid"])
-    _require(opt["steps"] >= 0, "steps must be >= 0")
-    _require(opt["dt"] > 0.0, "dt must be positive")
-    _require(opt["amplitude"] > 0.0, "amplitude must be positive")
     rng = np.random.default_rng(opt["seed"])
     src = GridSource("periodic", opt["grid"])
     f = datagen.sample_map(src, datagen.trig_vector(rng, 2, amplitude=opt["amplitude"]))
@@ -413,44 +416,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification suites and singular-solution simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run identity suites, one row per invariant")
-    p_verify.add_argument("--suite", help="exact | numeric | all")
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--count", type=int, help="random draws for the exact suite")
-    p_verify.add_argument("--grid", type=int, help="grid size for the numeric suite")
-    p_verify.add_argument("--tol", type=float, help="override every row tolerance")
-
-    p_peakon = sub.add_parser("peakon", help="collective N-body run (point or filament)")
-    p_peakon.add_argument("--n", type=int, help="number of points")
-    p_peakon.add_argument("--dim", type=int, help="target dimension")
-    p_peakon.add_argument("--kernel", help="exp1d | gaussian")
-    p_peakon.add_argument("--alpha", type=float, help="kernel length scale")
-    p_peakon.add_argument("--p", type=float, help="momentum magnitude")
-    p_peakon.add_argument("--dt", type=float)
-    p_peakon.add_argument("--t-final", dest="t_final", type=float)
-    p_peakon.add_argument("--method", help=" | ".join(METHODS))
-    p_peakon.add_argument("--filament", action="store_true", default=None)
-    p_peakon.add_argument("--nodes", type=int, help="filament node count")
-    p_peakon.add_argument("--radius", type=float, help="filament radius")
-
-    p_advect = sub.add_parser("advect", help="advect a grid map by a flow on the target")
-    p_advect.add_argument("--grid", type=int)
-    p_advect.add_argument("--flow", help=" | ".join(FLOWS))
-    p_advect.add_argument("--steps", type=int)
-    p_advect.add_argument("--dt", type=float)
-    p_advect.add_argument("--amplitude", type=float)
-    p_advect.add_argument("--seed", type=int)
-
-    p_converge = sub.add_parser("converge", help="grid-refinement studies with fitted orders")
-    p_converge.add_argument("--op", help=" | ".join(verify.CONVERGENCE_OPS + ("all",)))
-    p_converge.add_argument("--grids", type=_as_grids, help="comma-separated ascending sizes")
-    p_converge.add_argument("--seed", type=int)
-    p_converge.add_argument("--threshold", type=float, help="required observed order")
-
-    for sp in (p_verify, p_peakon, p_advect, p_converge):
-        sp.add_argument("--config", help="key = value config file")
-        sp.add_argument("--out", help="CSV output path")
+    for command, table in _OPTIONS.items():
+        summary = _RUNNERS[command].__doc__
+        sp = sub.add_parser(command, help=summary, description=summary)
+        sp.add_argument("--config", help="key = value config file; its keys are the options below")
+        for key, (parse, _, accepts, text) in table.items():
+            if accepts:
+                text += f" [{' | '.join(accepts) if isinstance(accepts, tuple) else accepts}]"
+            kind = {"action": "store_true", "default": None} if parse is _as_bool else {"type": parse}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kind)
     return parser
 
 

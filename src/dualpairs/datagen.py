@@ -87,11 +87,12 @@ def _sample(source: GridSource, fn) -> np.ndarray:
 
     The closure sees ``s1`` as a column and ``s2`` as a row, so per-axis
     work (a ``sin`` of one coordinate) runs on one line of nodes instead of
-    all of them; every node's own arithmetic is that of the full grid.
+    all of them; every node's own arithmetic is that of the full grid.  The
+    result is a broadcast view: the field built on it copies it once.
     """
     line = source.node_line()
     v = np.asarray(fn(line[:, None], line[None, :]), dtype=float)
-    return np.broadcast_to(v, source.node_shape + v.shape[2:]).copy()
+    return np.broadcast_to(v, source.node_shape + v.shape[2:])
 
 
 def sample_stream(source: GridSource, fn) -> StreamFunction:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -127,6 +128,16 @@ def test_converge_requires_ascending_grids(capsys, tmp_path):
     )
     assert code == 2
     assert "ascending" in err
+
+
+@pytest.mark.parametrize("grids", ["2,4", "1,2"])
+def test_converge_refuses_grids_under_4(capsys, tmp_path, grids):
+    path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "converge", "--op", "transport", "--grids", grids, "--out", str(path))
+    assert code == 2
+    assert "grid must be >= 4" in err
+    assert out == ""
+    assert not path.exists()
 
 
 def test_converge_unreachable_threshold_fails(capsys, tmp_path):
@@ -552,6 +563,39 @@ def test_flags_override_config(capsys, tmp_path):
     code3, _, _ = run(capsys, "peakon", "--config", str(cfg), "--out", str(config_only))
     assert code3 == 0
     assert config_only.read_bytes() != plain.read_bytes()
+
+
+def _flag_and_config_text(parse, default, accepts):
+    """A value other than the default, as the argv after the flag and as config text."""
+    if parse is cli._as_bool:
+        return [], "true"
+    if isinstance(accepts, tuple):
+        text = next(choice for choice in accepts if choice != default)
+    else:
+        text = {int: "9", float: "0.75", str: "x.csv", cli._as_grids: "8,16"}[parse]
+    return [text], text
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, table in cli._OPTIONS.items() for k in table])
+def test_a_flag_and_its_config_key_resolve_alike(tmp_path, command, key):
+    parse, default, accepts, _ = cli._OPTIONS[command][key]
+    argv, text = _flag_and_config_text(parse, default, accepts)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    parser = cli._build_parser()
+    by_flag = cli._resolve(parser.parse_args([command, "--" + key.replace("_", "-"), *argv]), command)
+    by_config = cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command)
+    assert by_flag == by_config
+    assert by_flag[key] != default
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_help_exits_0_and_lists_each_table_option(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--help"])
+    assert exited.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - {"--help", "--config"} == {"--" + key.replace("_", "-") for key in cli._OPTIONS[command]}
 
 
 # -- grid budget ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The exp1d row scan against one list scan per row, bit for bit.
 
 ``_exp1d_rows`` runs ``_exp1d_scan`` over all rows of a trajectory at once.
-The loops below are the per-row paths it replaced: the H column was
-``1/2 fsum(pt_a dH/dpt_a)`` after one list scan per row, and the NumPy
-gradient stacked one list scan per row.  Both must give the same doubles,
-ties, signed zeros, non-finite rows and overflows included.
+The loop below is the per-row path it replaced for the H column,
+``1/2 fsum(pt_a dH/dpt_a)`` after one list scan per row.  Both must give the
+same doubles, ties, signed zeros, non-finite rows and overflows included.
+The exp1d gradient, one list scan per state, is checked against dense sums
+in ``test_peakons.py`` and against its float field in
+``test_float_field_contract.py``.
 """
 
 import math
@@ -15,9 +17,7 @@ import pytest
 from dualpairs import peakons
 from dualpairs.peakons import (
     KernelSpec,
-    SingularState,
     Trajectory,
-    _collective_observable,
     _exp1d_scan,
     _half_fsum,
 )
@@ -32,11 +32,6 @@ def oracle_hamiltonians(q, p, w, alpha):
     return np.array(out)
 
 
-def oracle_gradient(z, a, alpha):
-    x = np.array([_exp1d_scan(row[:a], row[a:], alpha) for row in z.reshape(-1, 2 * a).tolist()])
-    return np.concatenate([-x[:, a:], x[:, :a]], axis=1).reshape(z.shape)
-
-
 def assert_same_doubles(got, want):
     """Equal values, NaN where NaN is expected, and the same sign on every zero."""
     assert got.shape == want.shape
@@ -48,15 +43,6 @@ def assert_same_doubles(got, want):
 def assert_matches_oracles(q, p, w, alpha):
     h = Trajectory(np.arange(q.shape[0]) * 0.1, q, p, w, KernelSpec("exp1d", alpha)).hamiltonians()
     assert_same_doubles(h, oracle_hamiltonians(q, p, w, alpha))
-    a = q.shape[1]
-    st = SingularState(np.zeros((a, 1)), np.zeros((a, 1)), KernelSpec("exp1d", alpha), w)
-    z = np.concatenate([q[:, :, 0], p[:, :, 0] * w], axis=1)
-    gradient = _collective_observable(st).gradient
-    assert_same_doubles(gradient(z), oracle_gradient(z, a, alpha))
-    # a batch of any leading shape is the same rows
-    if q.shape[0] % 2 == 0:
-        batch = z.reshape(2, -1, 2 * a)
-        assert_same_doubles(gradient(batch), oracle_gradient(z, a, alpha).reshape(batch.shape))
     return h
 
 
