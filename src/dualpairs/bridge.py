@@ -32,6 +32,7 @@ from .fields import (
     StreamFunction,
     TangentField,
     _check_same_grid,
+    _frozen,
     _fsum,
     right_momentum_pair,
     transport_along,
@@ -101,17 +102,9 @@ class CovectorField:
     p: np.ndarray
 
     def __post_init__(self):
-        head = self.source.node_shape
-        q = np.array(self.q, dtype=float)
-        p = np.array(self.p, dtype=float)
-        if q.ndim != len(head) + 1 or q.shape[: len(head)] != head:
-            raise ValueError(f"base-point shape {q.shape} does not match node shape {head}")
-        if p.shape != q.shape:
-            raise ValueError(f"covector shape {p.shape} != base-point shape {q.shape}")
-        q.flags.writeable = False
-        p.flags.writeable = False
+        q = _frozen(self.q, self.source.node_shape, "base-point", trailing=True)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _frozen(self.p, q.shape, "covector"))
 
     def phase_map(self) -> MapField:
         """The full node map ``s -> (Q_s, P_s)`` into R^(2d)."""

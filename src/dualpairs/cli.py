@@ -91,8 +91,8 @@ _OPTIONS = {
         "out": (str, None, None, "CSV output path"),
     },
     "peakon": {
-        "n": (int, 1, None, "number of points (>= 1 without --filament)"),
-        "dim": (int, 1, None, "target dimension (>= 1 without --filament)"),
+        "n": (int, None, ">= 1", "number of points of a point run (default 1)"),
+        "dim": (int, None, ">= 1", "target dimension of a point run (default 1)"),
         "kernel": (str, None, peakons.KERNEL_FAMILIES, "kernel; exp1d for 1-D points, else gaussian"),
         "alpha": (float, 1.0, "positive", "kernel length scale"),
         "p": (float, 2.0, None, "momentum magnitude"),
@@ -100,8 +100,8 @@ _OPTIONS = {
         "t_final": (float, 5.0, "positive", "end time"),
         "method": (str, "implicit-midpoint", METHODS, "integrator"),
         "filament": (_as_bool, False, None, "run a closed filament of --nodes nodes"),
-        "nodes": (int, 32, None, "filament node count (>= 3)"),
-        "radius": (float, 1.0, None, "filament radius (positive)"),
+        "nodes": (int, None, ">= 3", "node count of a filament run (default 32)"),
+        "radius": (float, None, "positive", "radius of a filament run (default 1)"),
         "out": (str, "peakon.csv", None, "CSV output path"),
     },
     "advect": {
@@ -282,15 +282,20 @@ def _require_trajectory_budget(opt: dict, count: int, dim: int) -> int:
     return steps
 
 
+# The options only one peakon mode reads, with their defaults.  Setting one for a run of the
+# other mode is a usage error, so that no run silently ignores what it was asked.
+_PEAKON_MODES = {"point": {"n": 1, "dim": 1}, "filament": {"nodes": 32, "radius": 1.0}}
+
+
 def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
     """The initial state and the flow request; both budgets are checked before any array is built."""
+    mode, other = ("filament", "point") if opt["filament"] else ("point", "filament")
+    for key in _PEAKON_MODES[other]:
+        _require(opt[key] is None, f"{key} is an option of {other} runs, not of {mode} runs")
+    opt = {**opt, **{key: default for key, default in _PEAKON_MODES[mode].items() if opt[key] is None}}
     if opt["filament"]:
-        _require(opt["nodes"] >= 3, "filament runs need at least 3 nodes")
-        _require(opt["radius"] > 0.0, "radius must be positive")
         count, dim, family = opt["nodes"], 2, "gaussian"
     else:
-        _require(opt["n"] >= 1, "n must be >= 1")
-        _require(opt["dim"] >= 1, "dim must be >= 1")
         count, dim = opt["n"], opt["dim"]
         family = "exp1d" if dim == 1 else "gaussian"
     kernel = KernelSpec(opt["kernel"] or family, opt["alpha"])
@@ -370,10 +375,12 @@ def _cmd_advect(opt: dict) -> int:
     alpha = datagen.sample_stream(src, datagen.trig_scalar(rng)).zero_mean()
     dt = opt["dt"]
     if opt["flow"] == "shear":
-        step = lambda g: nodewise_linear(g, np.array([[1.0, 0.0], [-dt, 1.0]]))
+        shear = np.array([[1.0, 0.0], [-dt, 1.0]])
+        step = lambda g: nodewise_linear(g, shear)
     elif opt["flow"] == "rotation":
         c, s = math.cos(dt), math.sin(dt)
-        step = lambda g: nodewise_linear(g, np.array([[c, s], [-s, c]]))
+        rotation = np.array([[c, s], [-s, c]])
+        step = lambda g: nodewise_linear(g, rotation)
     else:
         swirl = _swirl_observable()
         spec = FlowSpec("implicit-midpoint", dt, 1)

@@ -109,6 +109,24 @@ def _fsum(values: np.ndarray) -> float:
     return total / (1 << 1127)
 
 
+def _frozen(values, head: tuple[int, ...] | None = None, label: str = "", trailing: bool = False) -> np.ndarray:
+    """The read-only float64 array a value keeps; the one place that decides whose memory it is.
+
+    A read-only, C-ordered float64 ndarray that owns its memory counts as
+    handed over and is kept as it is.  Anything else is copied once and the
+    copy made read-only, so no caller can write to a value.  With ``head``,
+    the shape must be ``head``, plus one trailing axis when ``trailing``.
+    """
+    v = values
+    handed_over = type(v) is np.ndarray and v.dtype == np.float64 and not v.flags.writeable
+    if not (handed_over and v.flags.c_contiguous and v.flags.owndata):
+        v = np.array(values, dtype=float, order="C")
+        v.flags.writeable = False
+    if head is not None and (v.ndim != len(head) + trailing or v.shape[: len(head)] != head):
+        raise ValueError(f"{label} shape {v.shape} does not match {'leading ' if trailing else ''}shape {head}")
+    return v
+
+
 def format_float(x: float) -> str:
     """17 significant digits, locale-independent (used by all CSV writers)."""
     return format(float(x), ".17g")
@@ -137,17 +155,14 @@ class GridSource:
         if not (float(self.mass) > 0.0):
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.weights is None:
-            w = self._default_weights()
+            w = _frozen(self._default_weights())
         else:
-            w = np.array(self.weights, dtype=float)
-            if w.shape != self.node_shape:
-                raise ValueError(f"weights shape {w.shape} != node shape {self.node_shape}")
+            w = _frozen(self.weights, self.node_shape, "weights")
             if not np.all(w > 0.0):
                 raise ValueError("all node weights must be positive")
             total = _fsum(w)
             if abs(total - self.mass) > 1e-12 * self.mass:
                 raise ValueError(f"weights sum to {total}, declared mass is {self.mass}")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     def _default_weights(self) -> np.ndarray:
@@ -209,15 +224,6 @@ class ChainSource:
         return np.full(self.n, self.mass / self.n)
 
 
-def _frozen_array(values, shape_head: tuple[int, ...], label: str, trailing: bool) -> np.ndarray:
-    v = np.array(values, dtype=float, order="C")
-    expected_ndim = len(shape_head) + (1 if trailing else 0)
-    if v.ndim != expected_ndim or v.shape[: len(shape_head)] != shape_head:
-        raise ValueError(f"{label} shape {v.shape} does not match node shape {shape_head}")
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class MapField:
     """A map ``f: S -> R^(2n)`` sampled at grid nodes (even target dim)."""
@@ -226,7 +232,7 @@ class MapField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values, self.source.node_shape, "map values", trailing=True)
+        v = _frozen(self.values, self.source.node_shape, "map values", trailing=True)
         if v.shape[-1] % 2 != 0 or v.shape[-1] < 2:
             raise ValueError(f"target dimension must be even and >= 2, got {v.shape[-1]}")
         object.__setattr__(self, "values", v)
@@ -244,8 +250,7 @@ class TangentField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values, self.source.node_shape, "tangent values", trailing=True)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values, self.source.node_shape, "tangent values", True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +261,7 @@ class StreamFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values, self.source.node_shape, "stream values", trailing=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values, self.source.node_shape, "stream values"))
 
     def zero_mean(self) -> "StreamFunction":
         """Subtract the weighted mean so the integral against mu vanishes."""
@@ -273,11 +277,7 @@ class CellTwoForm:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.source.cell_shape:
-            raise ValueError(f"cell values shape {v.shape} != cell shape {self.source.cell_shape}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values, self.source.cell_shape, "cell values"))
 
     def integral(self) -> float:
         return _fsum(self.values) * self.source.spacing**2
@@ -611,7 +611,9 @@ def left_act(f: MapField, h: Observable, spec: FlowSpec) -> MapField:
     The whole node array is advanced as one batch whose implicit solves use
     a global convergence test, so left and right actions commute bit for bit.
     """
-    return MapField(f.source, advance(h, f.values, spec))
+    m = advance(h, f.values, spec)
+    m.flags.writeable = False  # handed over: fresh, or ``f.values`` itself at zero steps
+    return MapField(f.source, m)
 
 
 def nodewise_linear(f: MapField, matrix: np.ndarray) -> MapField:
@@ -635,6 +637,7 @@ def nodewise_linear(f: MapField, matrix: np.ndarray) -> MapField:
             lane += x[..., j] * a[i, j]
         even += odd
         even += 0.0
+    out.flags.writeable = False  # handed over: the new map keeps ``out`` without a copy
     return MapField(f.source, out)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDivergenceError
-from .fields import _fsum
+from .fields import _frozen, _fsum
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -119,23 +119,17 @@ class SingularState:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p, dtype=float))
+        q = _frozen(np.atleast_2d(self.q))
         if q.ndim != 2 or q.shape[0] < 1:
             raise ValueError(f"positions must form an (A, d) array, got shape {q.shape}")
-        if p.shape != q.shape:
-            raise ValueError(f"covector shape {p.shape} does not match position shape {q.shape}")
+        p = _frozen(np.atleast_2d(self.p), q.shape, "covector")
         _check_kernel_dim(self.kernel, q.shape[1])
         if self.weights is None:
-            w = self._default_weights(q.shape[0])
+            w = _frozen(self._default_weights(q.shape[0]))
         else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (q.shape[0],):
-                raise ValueError(f"weights shape {w.shape} != ({q.shape[0]},)")
+            w = _frozen(self.weights, q.shape[:1], "weights")
             if not np.all(w > 0.0):
                 raise ValueError("all weights must be positive")
-        for arr in (q, p, w):
-            arr.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "weights", w)

@@ -180,6 +180,25 @@ def test_peakon_filament_run_schema(capsys, tmp_path):
     assert all(float(r[-1]) < 1e-3 for r in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "filament, key, value", [(True, "n", "5"), (True, "dim", "3"), (False, "nodes", "64"), (False, "radius", "2")]
+)
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_peakon_refuses_an_option_of_the_other_mode(capsys, tmp_path, filament, key, value, by_config):
+    path = tmp_path / "run.csv"
+    argv = ["peakon", "--t-final", "0.01", "--dt", "0.01", "--out", str(path)]
+    if by_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"filament = {str(filament).lower()}\n{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--filament"] * filament + ["--" + key, value]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{key} is an option of {'point' if filament else 'filament'} runs" in err
+    assert not path.exists()
+
+
 def test_peakon_supports_rk4(capsys, tmp_path):
     code, _, _ = run(
         capsys, "peakon", "--method", "rk4", "--dt", "0.01", "--t-final", "0.05",
