@@ -9,19 +9,20 @@ the weighted pairings, both momentum pairings, the fiber-integration
 pairing, the group actions, and their residual diagnostics.
 
 Determinism and exact-invariance policy: every scalar reduction goes
-through ``_fsum``, an exactly rounded sum that returns the same double as
-``math.fsum`` bit for bit.  It adds the integer mantissas of the terms per
-binary exponent with ``np.bincount`` (exact in float64) and rounds the
-total once, so totals are independent of node ordering.  Combined with
-the pair-symmetric corner average used by the cell quadrature, the
-grid-symmetry identities below hold bit for bit, not merely to rounding.
+through ``_fsum_blocks``, an exactly rounded sum over blocks of terms that
+returns the same double as ``math.fsum`` bit for bit.  It adds the integer
+mantissas of each block's terms per binary exponent with ``np.bincount``
+(exact in float64) and rounds once, so totals do not depend on node order
+or block cuts.  With the pair-symmetric corner average of the cell
+quadrature, the grid-symmetry identities below hold bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,49 +65,51 @@ TOPOLOGIES = ("periodic", "patch")
 MAX_NODES = 1 << 22
 
 
-# Arrays below this size go straight to ``math.fsum``, which is faster there.
+# Totals below this many terms go to ``math.fsum``, which is faster there.
 _FSUM_SMALL = 1024
 # Per-bucket sums of 27-bit halves stay exact in float64 below this many terms.
 _FSUM_LARGE = 2**26
+_FSUM_BUCKETS = 2099  # exponent buckets ``e + 1074`` of ``np.frexp`` over all doubles
 
 
-def _fsum(values: np.ndarray) -> float:
-    """Exactly rounded sum of an array, equal to ``math.fsum`` bit for bit.
+def _fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """Exactly rounded sum of the blocks ``blocks()`` yields: ``math.fsum`` of their concatenation, bit for bit.
 
-    Each double is ``M * 2**(k - 1127)`` with a 53-bit integer mantissa M
-    split as ``hi * 2**26 + lo`` and an exponent bucket ``k = e + 1074``
-    from ``np.frexp``.  Two weighted ``np.bincount`` calls add ``hi`` and
-    ``lo`` per bucket; every partial sum is an integer below ``2**53``, so
-    both are exact.  The bucket totals are combined as one Python int and
-    divided by ``2**1127``, and ``int / int`` is correctly rounded.  Small,
-    huge, non-finite or near-overflow input, and exact zeros (whose sign
-    ``math.fsum`` decides), go to ``math.fsum`` itself.
+    A double is ``M * 2**(k - 1127)``, its 53-bit integer mantissa M split as
+    ``hi * 2**26 + lo`` and ``k = e + 1074`` from ``np.frexp``.  Each block's
+    ``hi`` and ``lo`` go into one running pair of per-bucket ``np.bincount``
+    sums, integers below ``2**53`` under ``_FSUM_LARGE`` terms and so exact;
+    no block is kept.  They are combined as one Python int and divided by
+    ``2**1127``, correctly rounded.  Where ``math.fsum`` decides (under
+    ``_FSUM_SMALL`` terms, a non-finite or near-overflow term, an exact zero),
+    it sums ``blocks()`` again, so results and exceptions are its own.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    size = x.size
-    # Below the bound no partial sum of math.fsum can overflow; NaN fails it too.
-    if (
-        size < _FSUM_SMALL
-        or size >= _FSUM_LARGE
-        or not max(-float(x.min()), float(x.max())) < 2.0 ** (1020 - size.bit_length())
-    ):
-        return math.fsum(memoryview(x))
-    m, e = np.frexp(x)
-    e += 1074
-    m *= 2.0**27
-    hi = np.trunc(m)
-    m -= hi
-    m *= 2.0**26
-    hi_sums = np.bincount(e, weights=hi)
-    lo_sums = np.bincount(e, weights=m)
-    buckets = np.flatnonzero((hi_sums != 0.0) | (lo_sums != 0.0))
-    total = sum(
-        ((int(h) << 26) + int(lo)) << k
-        for k, h, lo in zip(buckets.tolist(), hi_sums[buckets].tolist(), lo_sums[buckets].tolist())
-    )
-    if total == 0:
-        return math.fsum(memoryview(x))
-    return total / (1 << 1127)
+    count, sums = 0, np.zeros((2, _FSUM_BUCKETS))
+    for block in blocks():
+        x = block.ravel()
+        count += x.size
+        # The bound for _FSUM_LARGE terms, as the count is known only at the end; NaN fails it.
+        if x.size and not (count < _FSUM_LARGE and max(-float(x.min()), float(x.max())) < 2.0 ** (1020 - 27)):
+            break
+        m, e = np.frexp(x)
+        e += 1074
+        m *= 2.0**27
+        hi = np.trunc(m)
+        m -= hi
+        m *= 2.0**26
+        sums[0] += np.bincount(e, weights=hi, minlength=_FSUM_BUCKETS)
+        sums[1] += np.bincount(e, weights=m, minlength=_FSUM_BUCKETS)
+    else:
+        buckets = np.flatnonzero(sums.any(axis=0))
+        total = sum(((int(h) << 26) + int(lo)) << k for k, h, lo in zip(buckets.tolist(), *sums[:, buckets].tolist()))
+        if count >= _FSUM_SMALL and total != 0:
+            return total / (1 << 1127)
+    return math.fsum(itertools.chain.from_iterable(memoryview(block.ravel()) for block in blocks()))
+
+
+def _fsum(values) -> float:
+    """:func:`_fsum_blocks` of one array."""
+    return _fsum_blocks(lambda: (np.asarray(values, dtype=float),))
 
 
 def _frozen(values, head: tuple[int, ...] | None = None, label: str = "", trailing: bool = False) -> np.ndarray:
@@ -166,11 +169,13 @@ class GridSource:
         object.__setattr__(self, "weights", w)
 
     def _default_weights(self) -> np.ndarray:
-        if self.topology == "periodic":
-            return np.full((self.n, self.n), self.mass / self.n**2)
-        w1 = np.ones(self.n + 1)
-        w1[0] = w1[-1] = 0.5
-        return np.outer(w1, w1) * (self.mass / self.n**2)
+        w1 = np.ones(self.node_shape[0])
+        if self.topology == "patch":
+            w1[0] = w1[-1] = 0.5  # trapezoidal
+        w = np.outer(w1, w1)
+        w *= self.mass / self.n**2
+        w.flags.writeable = False  # fresh: handed over, so _frozen keeps it
+        return w
 
     @property
     def spacing(self) -> float:
@@ -396,29 +401,20 @@ def right_generator(f: MapField, alpha: StreamFunction) -> TangentField:
 # -- pullbacks and the cell quadrature ---------------------------------------
 
 
-def _wrapped(source: GridSource, values: np.ndarray) -> np.ndarray:
-    """Node values whose rows i, i+1 and columns j, j+1 are the corners of cell (i, j).
+def _cell_corners(source: GridSource, values: np.ndarray, rows: slice):
+    """Stacks (v00, v10, v01, v11) of the corner samples of the cells in ``rows``.
 
-    That is the node array itself on a patch; a periodic grid is first
-    wrap-padded by one node row and column.
+    They are slices of the node array on a patch; on a periodic grid the
+    node rows are first copied with one more row and column wrapped around.
     """
-    if source.topology != "periodic":
-        return values
-    padded = np.empty((source.n + 1, source.n + 1) + values.shape[2:])
-    padded[:-1, :-1] = values
-    padded[-1, :-1] = values[0]
-    padded[:, -1] = padded[:, 0]
-    return padded
-
-
-def _corners(wrapped: np.ndarray):
-    """Stacks (v00, v10, v01, v11) of cell-corner samples of a wrapped node array."""
-    return wrapped[:-1, :-1], wrapped[1:, :-1], wrapped[:-1, 1:], wrapped[1:, 1:]
-
-
-def _cell_corners(source: GridSource, values: np.ndarray):
-    """Stacks (v00, v10, v01, v11) of cell-corner samples, each cell_shape-shaped."""
-    return _corners(_wrapped(source, values))
+    if source.topology == "periodic":
+        w = np.empty((rows.stop - rows.start + 1, source.n + 1) + values.shape[2:])
+        w[:-1, :-1] = values[rows]
+        w[-1, :-1] = values[rows.stop % source.n]
+        w[:, -1] = w[:, 0]
+    else:
+        w = values[rows.start : rows.stop + 1]
+    return w[:-1, :-1], w[1:, :-1], w[:-1, 1:], w[1:, 1:]
 
 
 # Cells per block of the pullback: the block-sized temporaries of its
@@ -426,9 +422,9 @@ def _cell_corners(source: GridSource, values: np.ndarray):
 _BLOCK_CELLS = 1 << 14
 
 
-def _edge_differences(wrapped: np.ndarray, two_h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-averaged corner differences of a wrapped node scalar along s1 and s2."""
-    v00, v10, v01, v11 = _corners(wrapped)
+def _edge_differences(corners, two_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-averaged corner differences of a node scalar along s1 and s2."""
+    v00, v10, v01, v11 = corners
     d1 = v10 - v00
     d1 += v11 - v01
     d1 /= two_h
@@ -438,9 +434,8 @@ def _edge_differences(wrapped: np.ndarray, two_h: float) -> tuple[np.ndarray, np
     return d1, d2
 
 
-def _pullback_density(f: MapField) -> np.ndarray:
-    """Cell densities ``omega(d1 f, d2 f)``, one target component pair and one
-    block of cell rows at a time.
+def _pullback_density(f: MapField) -> Iterator[tuple[slice, np.ndarray]]:
+    """Cell densities ``omega(d1 f, d2 f)`` as ``(rows, block)``, one fresh block of cell rows at a time.
 
     Each of the two sums starts from +0.0 and adds left to right.  With one
     or two degrees of freedom that is the order of the einsum in
@@ -450,22 +445,20 @@ def _pullback_density(f: MapField) -> np.ndarray:
     """
     src, n = f.source, f.dim // 2
     two_h = 2.0 * src.spacing
-    nodes = [_wrapped(src, f.values[..., k]) for k in range(f.dim)]
-    out = np.empty(src.cell_shape)
-    rows = max(1, _BLOCK_CELLS // src.n)
-    for r in range(0, src.n, rows):
-        block = slice(r, r + rows + 1)
+    step = max(1, _BLOCK_CELLS // src.n)
+    for r in range(0, src.n, step):
+        rows = slice(r, min(r + step, src.n))
         qp = pq = 0.0
         for i in range(n):
-            d1q, d2q = _edge_differences(nodes[i][block], two_h)
-            d1p, d2p = _edge_differences(nodes[n + i][block], two_h)
+            d1q, d2q = _edge_differences(_cell_corners(src, f.values[..., i], rows), two_h)
+            d1p, d2p = _edge_differences(_cell_corners(src, f.values[..., n + i], rows), two_h)
             d1q *= d2p
             d1q += qp
             d1p *= d2q
             d1p += pq
             qp, pq = d1q, d1p
-        np.subtract(qp, pq, out=out[r : r + rows])
-    return out
+        qp -= pq
+        yield rows, qp
 
 
 def pullback_omega(f: MapField) -> CellTwoForm:
@@ -474,7 +467,7 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     Edge-averaged corner differences make the scheme exact for affine maps
     and second-order accurate for smooth ones.
     """
-    return CellTwoForm(f.source, _pullback_density(f))
+    return CellTwoForm(f.source, np.concatenate([c for _, c in _pullback_density(f)]))
 
 
 def cell_average(source: GridSource, values: np.ndarray) -> np.ndarray:
@@ -485,7 +478,7 @@ def cell_average(source: GridSource, values: np.ndarray) -> np.ndarray:
     so cell averages of permuted data are bitwise equal to permuted cell
     averages.
     """
-    a00, a10, a01, a11 = _cell_corners(source, values)
+    a00, a10, a01, a11 = _cell_corners(source, values, slice(0, source.n))
     return ((a00 + a11) + (a10 + a01)) * 0.25
 
 
@@ -497,10 +490,14 @@ def averaged_momentum_pair(f: MapField, abar: np.ndarray) -> float:
     """
     if np.shape(abar) != f.source.cell_shape:
         raise ValueError(f"cell averages shape {np.shape(abar)} != cell shape {f.source.cell_shape}")
-    c = _pullback_density(f)
-    c *= abar
-    c *= f.source.spacing**2
-    return -_fsum(c)
+
+    def terms():
+        for rows, c in _pullback_density(f):
+            c *= abar[rows]
+            c *= f.source.spacing**2
+            yield c
+
+    return -_fsum_blocks(terms)
 
 
 def right_momentum_pair(f: MapField, alpha: StreamFunction) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDivergenceError
-from .fields import _frozen, _fsum
+from .fields import _frozen, _fsum, _fsum_blocks
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -125,7 +125,9 @@ class SingularState:
         p = _frozen(np.atleast_2d(self.p), q.shape, "covector")
         _check_kernel_dim(self.kernel, q.shape[1])
         if self.weights is None:
-            w = _frozen(self._default_weights(q.shape[0]))
+            w = self._default_weights(q.shape[0])
+            w.flags.writeable = False  # fresh: handed over, so _frozen keeps it
+            w = _frozen(w)
         else:
             w = _frozen(self.weights, q.shape[:1], "weights")
             if not np.all(w > 0.0):
@@ -306,7 +308,7 @@ def _exp1d_rows(x: np.ndarray, pt: np.ndarray, alpha: float) -> np.ndarray:
 def _half_fsum(terms, fsum=math.fsum) -> float:
     """Half the exactly rounded sum; NaN where ``math.fsum`` overflows or meets ``inf - inf``.
 
-    ``fsum`` is ``math.fsum`` or ``fields._fsum``, which returns the same double.
+    ``fsum`` is ``math.fsum``, or ``fields._fsum_blocks`` of blocks, which returns the same double.
     """
     try:
         return 0.5 * fsum(terms)
@@ -320,8 +322,8 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
     it, in blocks of rows.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one row
     scan per block.  gaussian: pair terms; they are bitwise symmetric, so
-    the exactly rounded sum (``fields._fsum``) of the doubled strict upper
-    triangle and the diagonal is exactly the full-matrix one.
+    the exactly rounded sum (``fields._fsum_blocks``) of two blocks, the doubled
+    strict upper triangle and the diagonal, is exactly the full-matrix one.
     """
     t, a = q.shape[:2]
     out = np.empty(t)
@@ -341,9 +343,9 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
         terms = _pair_terms(k, q[block], p[block] * w[:, None])
         doubled = terms[:, upper]
         doubled *= 2.0
-        halves = np.concatenate([doubled, np.diagonal(terms, axis1=1, axis2=2)], axis=1)
-        del terms, doubled  # fields._fsum's temporaries come on top of what is alive here
-        out[block] = [_half_fsum(row, _fsum) for row in halves]
+        diagonal = np.diagonal(terms, axis1=1, axis2=2).copy()
+        del terms  # the row sums' temporaries come on top of what is alive here
+        out[block] = [_half_fsum(lambda: (u, d), _fsum_blocks) for u, d in zip(doubled, diagonal)]
     return out
 
 
@@ -504,7 +506,7 @@ def pair_with_field(st: SingularState, x_field) -> float:
     else:
         xv = np.broadcast_to(np.asarray(x_field, dtype=float), st.q.shape)
     terms = np.einsum("ai,ai->a", st.p, xv) * st.weights
-    return math.fsum(terms)
+    return _fsum(terms)
 
 
 def total_momentum(st: SingularState) -> np.ndarray:

@@ -6,6 +6,7 @@ discretized quantities get explicit tolerances tied to their order.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dualpairs.fields import (
     MapField,
     StreamFunction,
     TangentField,
+    averaged_momentum_pair,
     cell_average,
     equivariance_residual,
     fiber_pairing,
@@ -229,6 +231,21 @@ def test_momentum_pairing_gauge_invariance():
     a = right_momentum_pair(f, alpha)
     b = right_momentum_pair(f, shifted)
     assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
+
+
+def test_momentum_pairing_holds_one_block_of_cells_at_a_time():
+    # no cell array, wrap-padded component or exact-sum temporary of the grid's size
+    rng = np.random.default_rng(23)
+    src = GridSource("periodic", 1024)
+    f = random_map(rng, src, dim=2)
+    abar = cell_average(src, random_stream(rng, src).values)
+    tracemalloc.start()
+    try:
+        averaged_momentum_pair(f, abar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # a full cell array alone is 8 MB
 
 
 def test_cell_average_quarter_turn_pairs():

@@ -34,9 +34,11 @@ from dualpairs.fields import (
     _FSUM_SMALL,
     GridSource,
     MapField,
+    StreamFunction,
     _cell_corners,
     _centered_periodic,
     _fsum,
+    _fsum_blocks,
     averaged_momentum_pair,
     cell_average,
     nodewise_linear,
@@ -75,16 +77,21 @@ def assert_same_numbers(a, b):
     assert_bitwise(a, b)
 
 
-def outcome(total, values):
+def outcome(total, *args):
     """The bits of the sum, or the type of the exception raised instead."""
     try:
-        return ("value", bits(total(values)))
+        return ("value", bits(total(*args)))
     except (OverflowError, ValueError) as exc:
         return ("raises", type(exc))
 
 
 def assert_sums_like_fsum(x: np.ndarray):
-    assert outcome(_fsum, x) == outcome(math.fsum, x.tolist())
+    expected = outcome(math.fsum, x.tolist())
+    assert outcome(_fsum, x) == expected
+    # the same terms cut at random points, empty blocks included, through the block accumulator
+    rng = np.random.default_rng(x.size)
+    blocks = np.split(x, np.sort(rng.integers(0, x.size + 1, rng.integers(1, 6))))
+    assert outcome(_fsum_blocks, lambda: blocks) == expected
 
 
 # -- the exponent-bucket sum ---------------------------------------------------------
@@ -223,7 +230,7 @@ def roll_cell_average(source, values):
 def test_cell_corners_match_roll_reference(topology, n, tail):
     src = GridSource(topology, n)
     values = np.random.default_rng(n).normal(size=src.node_shape + tail)
-    for new, old in zip(_cell_corners(src, values), roll_cell_corners(src, values)):
+    for new, old in zip(_cell_corners(src, values, slice(0, n)), roll_cell_corners(src, values)):
         assert_bitwise(new, old)
 
 
@@ -414,7 +421,7 @@ def test_nodewise_linear_matches_einsum(dim, topology):
 def stacked_pullback(source, values):
     """The stacked (cells, 2n) corner differences fed to ``canonical_omega``."""
     h = source.spacing
-    v00, v10, v01, v11 = _cell_corners(source, values)
+    v00, v10, v01, v11 = _cell_corners(source, values, slice(0, source.n))
     d1 = v10 - v00
     d1 += v11 - v01
     d1 /= 2.0 * h
@@ -454,13 +461,30 @@ def test_pullback_reference_sees_signed_zeros():
 
 
 @pytest.mark.parametrize("topology", ["periodic", "patch"])
-def test_averaged_pairing_is_the_right_momentum_pairing(topology):
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("block", [None, 1, 40], ids=["one-block", "row-blocks", "partial-last-block"])
+@pytest.mark.parametrize("data", ["smooth", "near-overflow", "non-finite"])
+def test_averaged_pairing_is_the_right_momentum_pairing(topology, n, block, data, monkeypatch):
+    # 40 x 40 cells take the bucket sums across blocks.  An awkward map brings products
+    # near 1e300 and signed zeros, and an awkward potential infinities of both signs:
+    # math.fsum decides those sums.
+    if block is not None:
+        monkeypatch.setattr(fields, "_BLOCK_CELLS", block)
     rng = np.random.default_rng(4)
-    src = GridSource(topology, 16)
-    f = datagen.random_map(rng, src, dim=4)
-    alpha = datagen.random_stream(rng, src)
-    expected = -fields._fsum(stacked_pullback(src, f.values) * cell_average(src, alpha.values) * src.spacing**2)
-    assert bits(right_momentum_pair(f, alpha)) == bits(expected)
-    assert bits(averaged_momentum_pair(f, cell_average(src, alpha.values))) == bits(expected)
+    src = GridSource(topology, n)
+    if data == "smooth":
+        f = datagen.random_map(rng, src, dim=4)
+    else:
+        f = MapField(src, awkward(rng, src.node_shape + (4,)))
+    if data == "non-finite":
+        alpha = StreamFunction(src, awkward(rng, src.node_shape))
+    else:
+        alpha = datagen.random_stream(rng, src)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        abar = cell_average(src, alpha.values)
+        terms = stacked_pullback(src, f.values) * abar * src.spacing**2
+        expected = outcome(lambda t: -math.fsum(t), terms.ravel().tolist())
+        assert outcome(right_momentum_pair, f, alpha) == expected
+        assert outcome(averaged_momentum_pair, f, abar) == expected
     with pytest.raises(ValueError, match="cell averages shape"):
         averaged_momentum_pair(f, alpha.values[:-1])

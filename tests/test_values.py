@@ -2,6 +2,8 @@
 array that no caller can still write, taking over a handed-over array as it
 is and copying anything else once."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,18 @@ def test_nodewise_linear_hands_its_fresh_result_to_the_new_map(monkeypatch):
     assert out is handed[0]
     assert out.flags.owndata and out.flags.c_contiguous and not out.flags.writeable
     assert not np.shares_memory(out, f.values)
+
+
+def test_default_weights_are_one_array_handed_over():
+    q = np.zeros((1 << 18, 1))  # 2 MB, as a 512 x 512 grid
+    q.flags.writeable = False
+    builds = (lambda: GridSource("periodic", 512), lambda: GridSource("patch", 512), lambda: SingularState(q, q, EXP))
+    for build in builds:
+        tracemalloc.start()
+        try:
+            w = build().weights
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.flags.owndata and not w.flags.writeable
+        assert w.nbytes <= peak < 1.25 * w.nbytes
