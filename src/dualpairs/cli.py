@@ -33,10 +33,10 @@ from . import datagen, fields, peakons, verify
 from .errors import SolverDivergenceError
 from .fields import (
     GridSource,
+    MapField,
     averaged_momentum_pair,
     cell_average,
     format_float,
-    left_act,
     nodewise_linear,
 )
 from .peakons import (
@@ -46,7 +46,7 @@ from .peakons import (
     integrate,
     write_trajectory_csv,
 )
-from .symplectic import METHODS, FlowSpec, Observable
+from .symplectic import METHODS, FlowSpec, Observable, _states
 
 __all__ = ["main"]
 
@@ -366,6 +366,23 @@ def _pairing_at(f, abar, k: int) -> float:
     return jk
 
 
+def _advected(f: MapField, flow: str, dt: float, steps: int):
+    """Yield the map after each advection step.  The swirl's maps are the states of one
+    implicit-midpoint run over all steps, each kept by its map without a copy."""
+    if flow == "swirl":
+        for m in _states(_swirl_observable(), f.values, FlowSpec("implicit-midpoint", dt, steps)):
+            yield MapField(f.source, m)
+        return
+    if flow == "shear":
+        matrix = np.array([[1.0, 0.0], [-dt, 1.0]])
+    else:
+        c, s = math.cos(dt), math.sin(dt)
+        matrix = np.array([[c, s], [-s, c]])
+    for _ in range(steps):
+        f = nodewise_linear(f, matrix)
+        yield f
+
+
 def _cmd_advect(opt: dict) -> int:
     """advect a grid map by a flow on the target"""
     _require_grid_budget(opt["grid"])
@@ -374,28 +391,14 @@ def _cmd_advect(opt: dict) -> int:
     f = datagen.sample_map(src, datagen.trig_vector(rng, 2, amplitude=opt["amplitude"]))
     alpha = datagen.sample_stream(src, datagen.trig_scalar(rng)).zero_mean()
     dt = opt["dt"]
-    if opt["flow"] == "shear":
-        shear = np.array([[1.0, 0.0], [-dt, 1.0]])
-        step = lambda g: nodewise_linear(g, shear)
-    elif opt["flow"] == "rotation":
-        c, s = math.cos(dt), math.sin(dt)
-        rotation = np.array([[c, s], [-s, c]])
-        step = lambda g: nodewise_linear(g, rotation)
-    else:
-        swirl = _swirl_observable()
-        spec = FlowSpec("implicit-midpoint", dt, 1)
-        step = lambda g: left_act(g, swirl, spec)
     abar = cell_average(src, alpha.values)
     j0 = _pairing_at(f, abar, 0)
     scale = max(1.0, abs(j0))
     records = [(0.0, j0, 0.0)]
-    for k in range(opt["steps"]):
-        try:
-            f = step(f)
-        except SolverDivergenceError:
-            # renumber: the solver sees one step per advection step
-            raise SolverDivergenceError(k) from None
-        jk = _pairing_at(f, abar, k)
+    maps = _advected(f, opt["flow"], dt, opt["steps"])
+    del f  # the maps generator holds the only reference, so a step frees the map before the last
+    for k, fk in enumerate(maps):
+        jk = _pairing_at(fk, abar, k)
         records.append(((k + 1) * dt, jk, abs(jk - j0) / scale))
     with open(opt["out"], "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -82,28 +82,31 @@ def _fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
     no block is kept.  They are combined as one Python int and divided by
     ``2**1127``, correctly rounded.  Where ``math.fsum`` decides (under
     ``_FSUM_SMALL`` terms, a non-finite or near-overflow term, an exact zero),
-    it sums ``blocks()`` again, so results and exceptions are its own.
+    it sums ``blocks()`` again, so results and exceptions are its own; a
+    tuple of fewer terms goes there without the bucket work.
     """
-    count, sums = 0, np.zeros((2, _FSUM_BUCKETS))
-    for block in blocks():
-        x = block.ravel()
-        count += x.size
-        # The bound for _FSUM_LARGE terms, as the count is known only at the end; NaN fails it.
-        if x.size and not (count < _FSUM_LARGE and max(-float(x.min()), float(x.max())) < 2.0 ** (1020 - 27)):
-            break
-        m, e = np.frexp(x)
-        e += 1074
-        m *= 2.0**27
-        hi = np.trunc(m)
-        m -= hi
-        m *= 2.0**26
-        sums[0] += np.bincount(e, weights=hi, minlength=_FSUM_BUCKETS)
-        sums[1] += np.bincount(e, weights=m, minlength=_FSUM_BUCKETS)
-    else:
-        buckets = np.flatnonzero(sums.any(axis=0))
-        total = sum(((int(h) << 26) + int(lo)) << k for k, h, lo in zip(buckets.tolist(), *sums[:, buckets].tolist()))
-        if count >= _FSUM_SMALL and total != 0:
-            return total / (1 << 1127)
+    first = blocks()
+    if not (isinstance(first, tuple) and sum(block.size for block in first) < _FSUM_SMALL):
+        count, sums = 0, np.zeros((2, _FSUM_BUCKETS))
+        for block in first:
+            x = block.ravel()
+            count += x.size
+            # The bound for _FSUM_LARGE terms, as the count is known only at the end; NaN fails it.
+            if x.size and not (count < _FSUM_LARGE and max(-float(x.min()), float(x.max())) < 2.0 ** (1020 - 27)):
+                break
+            m, e = np.frexp(x)
+            e += 1074
+            m *= 2.0**27
+            hi = np.trunc(m)
+            m -= hi
+            m *= 2.0**26
+            sums[0] += np.bincount(e, weights=hi, minlength=_FSUM_BUCKETS)
+            sums[1] += np.bincount(e, weights=m, minlength=_FSUM_BUCKETS)
+        else:
+            buckets = np.flatnonzero(sums.any(axis=0))
+            total = sum(((int(h) << 26) + int(lo)) << k for k, h, lo in zip(buckets.tolist(), *sums[:, buckets].tolist()))
+            if count >= _FSUM_SMALL and total != 0:
+                return total / (1 << 1127)
     return math.fsum(itertools.chain.from_iterable(memoryview(block.ravel()) for block in blocks()))
 
 
@@ -467,7 +470,9 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     Edge-averaged corner differences make the scheme exact for affine maps
     and second-order accurate for smooth ones.
     """
-    return CellTwoForm(f.source, np.concatenate([c for _, c in _pullback_density(f)]))
+    c = np.concatenate([c for _, c in _pullback_density(f)])
+    c.flags.writeable = False  # handed over: the form keeps ``c`` without a copy
+    return CellTwoForm(f.source, c)
 
 
 def cell_average(source: GridSource, values: np.ndarray) -> np.ndarray:

@@ -93,17 +93,12 @@ def _differences(q: np.ndarray) -> np.ndarray:
 
 
 def _kernel(k: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``G`` and slopes ``u`` with ``d_i G = u[i] G`` at displacements ``x`` of shape (d, ...).
+    """The gaussian ``G`` and slopes ``u`` with ``d_i G = u[i] G`` at displacements ``x`` of shape (d, ...).
 
     One ``exp`` per displacement.  The slopes overwrite ``x``, which must be
-    an array the caller owns.  The exp1d slope ``-sign(x) / alpha`` is zero
-    at ``x = 0``, which is the ``G'(0) = 0`` convention.
+    an array the caller owns.  exp1d states never come here: their fields
+    and H column are sorted scans (``_exp1d_scan``, ``_exp1d_rows``).
     """
-    if k.family == "exp1d":
-        g = np.abs(x[0])
-        np.exp(np.divide(g, -k.alpha, out=g), out=g)
-        g /= 2.0 * k.alpha
-        return g, np.divide(np.sign(x, out=x), -k.alpha, out=x)
     r2 = np.einsum("i...,i...->...", x, x)
     g = np.exp(np.divide(r2, -2.0 * k.alpha**2, out=r2), out=r2)
     return g, np.divide(x, -k.alpha**2, out=x)

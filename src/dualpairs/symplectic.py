@@ -69,7 +69,7 @@ class Observable:
     float_field:
         Optional callable mapping one point, a list of 2n Python floats, to
         ``X_h`` there as a list of 2n floats, bit for bit the field that
-        ``gradient`` gives.  With it, :func:`flow` runs implicit midpoint on
+        ``gradient`` gives.  With it, :func:`_states` runs implicit midpoint on
         Python floats instead of NumPy arrays, with the same arithmetic.
     """
 
@@ -168,7 +168,7 @@ def _corrected(h: Observable, m: np.ndarray, y: np.ndarray, dt: float, mid: np.n
 
 def _midpoint_step(h: Observable, m: np.ndarray, dt: float, step_index: int, start=None) -> np.ndarray:
     # Fixed-point iteration for m' = m + dt * X_h((m + m') / 2), started at
-    # ``start`` (flow's extrapolation of its previous rows) or else at the
+    # ``start`` (_states' extrapolation of its previous states) or else at the
     # Euler predictor m + dt * X_h(m).  An extrapolated start is close enough
     # that the first iterate usually passes the test while still off by about
     # dt * |X_h'| times the extrapolation error, so such a step returns the
@@ -240,8 +240,8 @@ def _step_once(h: Observable, m: np.ndarray, spec: FlowSpec, step_index: int, st
 def advance(h: Observable, state, spec: FlowSpec):
     """Advance a state (or a whole stack of states) through ``spec.steps`` steps.
 
-    Returns only the endpoint; use :func:`flow` for full trajectories of a
-    single phase point.
+    Returns only the endpoint.  Each step starts at the Euler predictor, so a
+    one-step call is the first step of any run.
     """
     m = np.asarray(state, dtype=float)
     for k in range(spec.steps):
@@ -249,25 +249,21 @@ def advance(h: Observable, state, spec: FlowSpec):
     return m
 
 
-def flow(h: Observable, m0, spec: FlowSpec) -> np.ndarray:
-    """Integrate the Hamiltonian flow of ``h`` from ``m0``.
+def _states(h: Observable, m0, spec: FlowSpec):
+    """Yield the state after each of the ``spec.steps`` steps from ``m0``, one point or a stack of points.
 
-    Returns an array of shape ``(steps + 1, 2n)`` whose first row is ``m0``.
-    Implicit midpoint (the symplectic default) uses a fixed-point iteration
-    with tolerance 1e-13 and at most 50 iterations per step; it runs on
-    Python floats when ``h`` has a ``float_field``.  Steps 0-2 start it at
-    the Euler predictor; every later step starts at the cubic extrapolation
-    ``4 (y_k + y_{k-2}) - 6 y_{k-1} - y_{k-3}`` of the last four rows, which
-    saves the predictor's field evaluation, and takes one corrector iteration
-    past the first iterate that passes the test (about 2 evaluations per
-    step on smooth peakon runs, against 3.4-4 from the Euler start).
+    The generator extrapolates from the states it yields, so none can be
+    changed: each is a fresh read-only array, or on the float driver a tuple.
+    Implicit midpoint (the symplectic default) iterates to tolerance 1e-13 in
+    at most 50 iterations per step.  Steps 0-2 start at the Euler predictor,
+    every later step at the cubic extrapolation ``4 (y_k + y_{k-2}) - 6
+    y_{k-1} - y_{k-3}`` of the last four states (see :func:`_midpoint_step`).
+    One point whose ``h`` has a ``float_field`` steps on Python floats.
     Non-convergence, or a non-finite state after a step of either method,
-    raises :class:`SolverDivergenceError` carrying the step index.
+    raises :class:`SolverDivergenceError` carrying the step's index in this run.
     """
-    m = phase_point(m0)
-    out = np.empty((spec.steps + 1, m.size), dtype=float)
-    out[0] = m
-    if h.float_field is not None and spec.method == "implicit-midpoint":
+    m = np.asarray(m0, dtype=float)
+    if h.float_field is not None and spec.method == "implicit-midpoint" and m.ndim == 1:
         u = m.tolist()
         y1 = y2 = y3 = None
         for k in range(spec.steps):
@@ -275,13 +271,28 @@ def flow(h: Observable, m0, spec: FlowSpec) -> np.ndarray:
             if k >= 3:
                 start = [4.0 * (a + c) - 6.0 * b - d for a, b, c, d in zip(u, y1, y2, y3)]
             u, y1, y2, y3 = _midpoint_step_floats(h.float_field, u, spec.dt, k, start), u, y1, y2
-            out[k + 1] = u
-        return out
-    extrapolate = spec.method == "implicit-midpoint"
+            yield tuple(u)
+        return
+    y1 = y2 = y3 = None
     for k in range(spec.steps):
         start = None
-        if extrapolate and k >= 3:
-            start = 4.0 * (out[k] + out[k - 2]) - 6.0 * out[k - 1] - out[k - 3]
-        m = _step_once(h, m, spec, k, start)
-        out[k + 1] = m
+        if k >= 3 and spec.method == "implicit-midpoint":
+            start = 4.0 * (m + y2) - 6.0 * y1 - y3
+        m, y1, y2, y3 = _step_once(h, m, spec, k, start), m, y1, y2
+        m.flags.writeable = False
+        yield m
+
+
+def flow(h: Observable, m0, spec: FlowSpec) -> np.ndarray:
+    """Integrate the Hamiltonian flow of ``h`` from ``m0``.
+
+    Returns an array of shape ``(steps + 1, 2n)``: ``m0``, then each state
+    :func:`_states` yields (about 2 field evaluations per implicit-midpoint
+    step on smooth peakon runs, against 3.4-4 from the Euler start).
+    """
+    m = phase_point(m0)
+    out = np.empty((spec.steps + 1, m.size), dtype=float)
+    out[0] = m
+    for k, row in enumerate(_states(h, m, spec), 1):
+        out[k] = row
     return out

@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -471,6 +472,26 @@ def test_advect_hoisted_average_writes_the_per_step_pairing(capsys, tmp_path, mo
     per_step = tmp_path / "per_step.csv"
     assert run(capsys, *argv, "--out", str(per_step))[0] == 0
     assert hoisted.read_bytes() == per_step.read_bytes()
+
+
+@pytest.mark.parametrize("flow", ["shear", "rotation"])
+def test_advect_keeps_no_map_before_the_last(capsys, tmp_path, monkeypatch, flow):
+    # a linear flow's map frees its predecessor, the first map too, so a run holds at most two maps
+    refs = []
+    advected = cli._advected
+
+    def watched(f, *rest):
+        maps = advected(f, *rest)
+        refs.append(weakref.ref(f))
+        del f
+        for g in maps:
+            refs.append(weakref.ref(g))
+            assert all(ref() is None for ref in refs[:-2])
+            yield g
+
+    monkeypatch.setattr(cli, "_advected", watched)
+    code, _, _ = run(capsys, "advect", "--flow", flow, "--grid", "8", "--steps", "4", "--out", str(tmp_path / "a.csv"))
+    assert code == 0 and len(refs) == 5
 
 
 def test_advect_rejects_unknown_flow(capsys, tmp_path):

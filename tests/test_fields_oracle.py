@@ -145,6 +145,24 @@ def test_small_arrays_sum_like_fsum(values):
     assert_sums_like_fsum(np.array(values, dtype=float))
 
 
+@pytest.mark.parametrize("size", [1, 10, 256, _FSUM_SMALL - 1])
+def test_a_small_sum_of_known_size_goes_straight_to_fsum(monkeypatch, size):
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+    awkward = x.copy()
+    awkward[: min(size, 4)] = [math.inf, -math.inf, math.nan, -0.0][:size]
+    cases = [x, -x, np.full(size, -0.0), np.full(size, 1.7e308), awkward]
+    expected = [outcome(math.fsum, v.tolist()) for v in cases]
+
+    def no_buckets(*args, **kwargs):
+        raise AssertionError("a sum of fewer than _FSUM_SMALL terms did the bucket work")
+
+    monkeypatch.setattr(np, "bincount", no_buckets)
+    assert [outcome(_fsum, v) for v in cases] == expected
+    # a tuple of blocks tells its count up front, as the gaussian H rows pass the upper triangle and the diagonal
+    assert [outcome(_fsum_blocks, lambda v=v: (v[: size // 2], v[size // 2 :])) for v in cases] == expected
+
+
 @pytest.mark.parametrize("size", [0, 1, 7, _FSUM_SMALL - 1, _FSUM_SMALL, 3000])
 def test_zero_and_cancelling_sums_keep_fsum_sign(size):
     rng = np.random.default_rng(size)

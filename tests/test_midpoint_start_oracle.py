@@ -1,17 +1,22 @@
 """Extrapolated implicit-midpoint starts against the Euler-start driver they replaced.
 
-``flow`` starts each step from the fourth on at the cubic extrapolation of
-the last four trajectory rows.  The Euler-start loop below is the step every
-step used before; the two must agree to round-off on the benchmarked runs,
-stop at the same step on collisions and overflows, and the extrapolated
-start must save field evaluations.
+``flow`` and the swirl advection step through ``symplectic._states``, which
+starts each step from the fourth on at the cubic extrapolation of the last
+four states.  The Euler-start loop below is the step every step used
+before, and one fresh one-step ``left_act`` per step is the swirl advection
+before; each pair must agree to round-off on the benchmarked runs, stop at
+the same step on collisions, overflows and divergent solves, and the
+extrapolated start must save field evaluations.
 """
+
+import csv
 
 import numpy as np
 import pytest
 
 from dualpairs import cli
 from dualpairs.errors import SolverDivergenceError
+from dualpairs.fields import left_act
 from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import (
     _FIXED_POINT_MAX_ITER,
@@ -156,3 +161,70 @@ def test_rk4_is_not_extrapolated():
     tallied, calls = counted(h)
     flow(tallied, z, FlowSpec("rk4", 1e-3, 20))
     assert calls[0] == 80
+
+
+# -- the swirl advection ------------------------------------------------------------
+
+
+def euler_start_advected(f, flow, dt, steps):
+    """``cli._advected`` for the swirl before the stepping generator: a one-step ``left_act`` per step."""
+    assert flow == "swirl"
+    swirl = cli._swirl_observable()
+    for k in range(steps):
+        try:
+            f = left_act(f, swirl, FlowSpec("implicit-midpoint", dt, 1))
+        except SolverDivergenceError:
+            raise SolverDivergenceError(k) from None
+        yield f
+
+
+def advect_swirl(monkeypatch, capsys, tmp_path, advected, *argv):
+    """Exit code, stderr, jr_pair column and every map of an ``advect --flow swirl`` run stepped by ``advected``."""
+    maps = []
+
+    def recorded(*args):
+        for g in advected(*args):
+            maps.append(g.values)
+            yield g
+
+    monkeypatch.setattr(cli, "_advected", recorded)
+    path = tmp_path / "swirl.csv"
+    code = cli.main(["advect", "--flow", "swirl", *argv, "--out", str(path)])
+    column = None
+    if code == 0:
+        with open(path, newline="") as handle:
+            column = np.array([float(row[1]) for row in list(csv.reader(handle))[1:]])
+    return code, capsys.readouterr().err, column, maps
+
+
+def test_swirl_advection_agrees_with_per_step_left_act_to_round_off(monkeypatch, capsys, tmp_path):
+    argv = ("--grid", "16", "--steps", "100")
+    code, _, column, maps = advect_swirl(monkeypatch, capsys, tmp_path, cli._advected, *argv)
+    code_o, _, column_o, maps_o = advect_swirl(monkeypatch, capsys, tmp_path, euler_start_advected, *argv)
+    assert code == code_o == 0
+    assert len(maps) == len(maps_o) == 100 and column.shape == column_o.shape == (101,)
+    assert all(np.array_equal(a, b) for a, b in zip(maps[:3], maps_o[:3]))  # steps 0-2 keep the Euler start
+    assert np.abs(maps[-1] - maps_o[-1]).max() <= 1e-12 * max(1.0, float(np.abs(maps_o[-1]).max()))
+    assert np.all(np.abs(column - column_o) <= 1e-12 * np.maximum(1.0, np.abs(column_o)))
+
+
+@pytest.mark.parametrize("argv", [("--dt", "10"), ("--amplitude", "1", "--dt", "0.2")], ids=["step-0", "step-1"])
+def test_divergent_swirl_stops_at_the_per_step_left_act_step(monkeypatch, capsys, tmp_path, argv):
+    argv = ("--grid", "16", "--steps", "5", *argv)
+    code, err, _, maps = advect_swirl(monkeypatch, capsys, tmp_path, cli._advected, *argv)
+    code_o, err_o, _, maps_o = advect_swirl(monkeypatch, capsys, tmp_path, euler_start_advected, *argv)
+    assert code == code_o == 4
+    assert err == err_o == f"numeric divergence at step {len(maps_o)}\n"
+    assert len(maps) == len(maps_o)
+
+
+def test_swirl_advection_saves_field_evaluations(monkeypatch, capsys, tmp_path):
+    per_step = {}
+    for advected in (cli._advected, euler_start_advected):
+        tallied, calls = counted(cli._swirl_observable())
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_swirl_observable", lambda: tallied)
+            assert advect_swirl(patch, capsys, tmp_path, advected, "--grid", "16", "--steps", "100")[0] == 0
+        per_step[advected] = calls[0] / 100
+    assert per_step[cli._advected] <= 8.1
+    assert per_step[euler_start_advected] >= 9.9

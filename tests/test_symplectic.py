@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.symplectic import FlowSpec, Observable, advance, canonical_omega, flow
+from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.symplectic import FlowSpec, Observable, _states, advance, canonical_omega, flow
 
 
 def oscillator():
@@ -104,3 +105,67 @@ def test_linear_hamiltonian_flow_is_exact_translation():
     out = advance(h, np.array([0.0, 0.4]), FlowSpec("implicit-midpoint", 0.125, 8))
     assert abs(out[0] - 1.0) < 1e-13
     assert out[1] == 0.4
+
+
+def collective(family, q, p):
+    st = SingularState(np.array(q), np.array(p), KernelSpec(family, 1.0))
+    return _collective_observable(st), _canonical_point(st)
+
+
+# name -> (observable, initial point, flow request); 40 steps reach the extrapolated starts
+GENERATOR_RUNS = {
+    "float-driver-exp1d": lambda: (
+        *collective("exp1d", [[-1.0], [0.2], [1.5]], [[1.0], [0.5], [-0.3]]),
+        FlowSpec("implicit-midpoint", 0.01, 40),
+    ),
+    "numpy-driver-gaussian-2d": lambda: (
+        *collective("gaussian", [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
+        FlowSpec("implicit-midpoint", 0.01, 40),
+    ),
+    "rk4": lambda: (
+        *collective("gaussian", [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
+        FlowSpec("rk4", 0.01, 40),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_RUNS))
+def test_flow_stores_the_states_the_generator_yields(name):
+    h, z, spec = GENERATOR_RUNS[name]()
+    assert (h.float_field is not None) == (name == "float-driver-exp1d")
+    path = flow(h, z, spec)
+    states = list(_states(h, z, spec))
+    assert len(states) == spec.steps
+    assert np.array_equal(path[0], z)
+    assert path[1:].tobytes() == np.stack(states).tobytes()
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_RUNS))
+def test_zero_steps_yield_nothing(name):
+    h, z, spec = GENERATOR_RUNS[name]()
+    assert list(_states(h, z, FlowSpec(spec.method, spec.dt, 0))) == []
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_RUNS))
+def test_yielded_states_cannot_be_changed(name):
+    # the generator extrapolates from the states it yields: read-only arrays, or tuples of Python floats
+    h, z, spec = GENERATOR_RUNS[name]()
+    start = z.copy()
+    states = list(_states(h, z, spec))
+    if name == "float-driver-exp1d":
+        assert all(type(s) is tuple and len(s) == z.size and all(type(v) is float for v in s) for s in states)
+    else:
+        assert all(s.flags.owndata and not s.flags.writeable and s.shape == z.shape for s in states)
+        assert len({id(s) for s in states}) == len(states)
+    assert z.flags.writeable and np.array_equal(z, start)
+
+
+def test_a_stack_of_points_keeps_the_euler_start_for_three_steps():
+    # a stack always steps on NumPy arrays; its first three states are advance's, bit for bit
+    h = oscillator()
+    pts = np.random.default_rng(4).normal(size=(3, 5, 2))
+    states = list(_states(h, pts, FlowSpec("implicit-midpoint", 1e-2, 10)))
+    assert all(s.shape == pts.shape and not s.flags.writeable for s in states)
+    for k in range(3):
+        assert np.array_equal(states[k], advance(h, pts, FlowSpec("implicit-midpoint", 1e-2, k + 1)))
+    assert np.abs(states[-1] - advance(h, pts, FlowSpec("implicit-midpoint", 1e-2, 10))).max() <= 1e-12

@@ -125,6 +125,18 @@ def test_nodewise_linear_hands_its_fresh_result_to_the_new_map(monkeypatch):
     assert not np.shares_memory(out, f.values)
 
 
+@pytest.mark.parametrize("block_cells", [1, 1 << 14])
+def test_pullback_omega_hands_its_fresh_density_to_the_form(monkeypatch, block_cells):
+    f = MapField(SRC, _ramp((4, 4, 2)) ** 2)
+    monkeypatch.setattr(fields, "_BLOCK_CELLS", block_cells)  # one block of cell rows, or one per row
+    handed = []
+    monkeypatch.setattr(fields, "CellTwoForm", lambda source, values: handed.append(values) or CellTwoForm(source, values))
+    out = fields.pullback_omega(f).values
+    assert out is handed[0]
+    assert out.flags.owndata and out.flags.c_contiguous and not out.flags.writeable
+    assert not np.shares_memory(out, f.values)
+
+
 def test_default_weights_are_one_array_handed_over():
     q = np.zeros((1 << 18, 1))  # 2 MB, as a 512 x 512 grid
     q.flags.writeable = False
