@@ -370,8 +370,10 @@ def _advected(f: MapField, flow: str, dt: float, steps: int):
     """Yield the map after each advection step.  The swirl's maps are the states of one
     implicit-midpoint run over all steps, each kept by its map without a copy."""
     if flow == "swirl":
-        for m in _states(_swirl_observable(), f.values, FlowSpec("implicit-midpoint", dt, steps)):
-            yield MapField(f.source, m)
+        source, states = f.source, _states(_swirl_observable(), f.values, FlowSpec("implicit-midpoint", dt, steps))
+        del f  # only the stepping history holds the first map, and lets it go
+        for m in states:
+            yield MapField(source, m)
         return
     if flow == "shear":
         matrix = np.array([[1.0, 0.0], [-dt, 1.0]])

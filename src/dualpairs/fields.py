@@ -59,9 +59,10 @@ __all__ = [
 TOPOLOGIES = ("periodic", "patch")
 
 # Largest node count the CLI builds a grid for (a 2048 x 2048 periodic grid).
-# An advect run peaks at about eight node arrays of its two-dimensional
-# target, near 0.5 GB at this bound; the CLI refuses larger grids before
-# building them.
+# Measured by tracemalloc at grid 1024, an advect run peaks at about 12.6
+# two-component node arrays for the swirl (its stepping history among them,
+# near 0.8 GB at this bound) and 4.3 for the shear (near 0.3 GB); the CLI
+# refuses larger grids before building them.
 MAX_NODES = 1 << 22
 
 

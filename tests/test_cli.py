@@ -494,6 +494,24 @@ def test_advect_keeps_no_map_before_the_last(capsys, tmp_path, monkeypatch, flow
     assert code == 0 and len(refs) == 5
 
 
+def test_swirl_advection_lets_go_of_the_first_map(capsys, tmp_path, monkeypatch):
+    # step 5's quintic start is the last to read the first map, so it is gone by the sixth map
+    refs = []
+    advected = cli._advected
+
+    def watched(f, *rest):
+        refs.append(weakref.ref(f.values))
+        maps = advected(f, *rest)
+        del f
+        for k, g in enumerate(maps):
+            assert k < 5 or refs[0]() is None
+            yield g
+
+    monkeypatch.setattr(cli, "_advected", watched)
+    code, _, _ = run(capsys, "advect", "--flow", "swirl", "--grid", "8", "--steps", "8", "--out", str(tmp_path / "a.csv"))
+    assert code == 0 and refs[0]() is None
+
+
 def test_advect_rejects_unknown_flow(capsys, tmp_path):
     code, _, err = run(capsys, "advect", "--flow", "vortex", "--out", str(tmp_path / "x.csv"))
     assert code == 2

@@ -89,9 +89,9 @@ def numpy_driver(h):
     return Observable(h.value, h.gradient)
 
 
-# 2 steps start at the Euler predictor only, 3 and 4 switch to the extrapolated start,
-# and 6283 are the verify row's orbit
-@pytest.mark.parametrize("steps", [2, 3, 4, 6283])
+# 2 steps start at the Euler predictor only, 3 and 4 switch to the cubic start, 5 and 6
+# to the quintic one, and 6283 are the verify row's orbit
+@pytest.mark.parametrize("steps", [2, 3, 4, 5, 6, 6283])
 def test_oscillator_flow_equals_the_numpy_driver(steps):
     spec = FlowSpec("implicit-midpoint", 1e-3, steps)
     h = verify._oscillator()

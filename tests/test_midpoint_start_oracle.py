@@ -1,12 +1,15 @@
-"""Extrapolated implicit-midpoint starts against the Euler-start driver they replaced.
+"""Extrapolated implicit-midpoint starts against the starts they replaced.
 
 ``flow`` and the swirl advection step through ``symplectic._states``, which
-starts each step from the fourth on at the cubic extrapolation of the last
-four states.  The Euler-start loop below is the step every step used
-before, and one fresh one-step ``left_act`` per step is the swirl advection
-before; each pair must agree to round-off on the benchmarked runs, stop at
-the same step on collisions, overflows and divergent solves, and the
-extrapolated start must save field evaluations.
+starts steps 3 and 4 at the cubic extrapolation of the last four states and
+every later step at the quintic extrapolation of the last six.  Two oracles
+stand for what came before: the Euler-start loop below is the step every
+step used first (and one fresh one-step ``left_act`` per step the swirl
+advection), and the cubic-start generator below is ``_states`` before the
+quintic start.  Each must agree with ``_states`` to round-off on the
+benchmarked runs, and bit for bit over the steps whose start they share;
+the Euler-start paths must stop at the same step on collisions, overflows
+and divergent solves; and the quintic start must save field evaluations.
 """
 
 import csv
@@ -16,13 +19,14 @@ import pytest
 
 from dualpairs import cli
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.fields import left_act
+from dualpairs.fields import MapField, left_act
 from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import (
     _FIXED_POINT_MAX_ITER,
     _FIXED_POINT_TOL,
     FlowSpec,
     Observable,
+    _step_once,
     flow,
     hamiltonian_vector_field,
     phase_point,
@@ -63,6 +67,22 @@ def euler_start_flow(h, m0, spec):
     return out
 
 
+def cubic_start_states(h, m0, spec):
+    """``symplectic._states`` on NumPy arrays with the cubic start from step 3 on, as before the quintic start."""
+    m = np.asarray(m0, dtype=float)
+    y1 = y2 = y3 = None
+    for k in range(spec.steps):
+        start = None
+        if k >= 3:
+            start = 4.0 * (m + y2) - 6.0 * y1 - y3
+        m, y1, y2, y3 = _step_once(h, m, spec, k, start), m, y1, y2
+        yield m
+
+
+def cubic_start_flow(h, m0, spec):
+    return np.stack([phase_point(m0), *cubic_start_states(h, m0, spec)])
+
+
 def counted(h):
     """``h`` with every field evaluation tallied, on whichever driver ``flow`` picks."""
     calls = [0]
@@ -93,30 +113,41 @@ RUNS = {
     "peakon-n2": lambda: cli_run("--n", "2", "--t-final", "20"),
     "peakon-n96": lambda: cli_run("--n", "96", "--dt", "1e-3", "--t-final", "0.5"),
     "filament-256": lambda: cli_run("--filament", "--nodes", "256", "--dt", "0.01", "--t-final", "1.5"),
+    "filament-64": lambda: cli_run("--filament", "--nodes", "64", "--dt", "0.05", "--t-final", "3"),
+    "gaussian-2d": lambda: cli_run("--dim", "2", "--n", "6", "--dt", "0.02", "--t-final", "20"),
     "oscillator": lambda: (oscillator(), np.array([0.7, -0.3]), FlowSpec("implicit-midpoint", 0.05, 400)),
 }
 
-# field evaluations per step that the extrapolated start must not exceed (Euler start: 3.42, 4.0, 5.0)
-MOST_EVALS_PER_STEP = {"peakon-n2": 2.05, "peakon-n96": 2.05, "filament-256": 4.05}
+# field evaluations per step that the extrapolated start must not exceed
+# (Euler start: 3.42, 4.0, 5.0, 5.98; cubic start: 2.00, 2.01, 4.02, 4.61)
+MOST_EVALS_PER_STEP = {"peakon-n2": 2.05, "peakon-n96": 2.05, "filament-256": 2.15, "gaussian-2d": 3.45}
 
 
 @pytest.fixture(scope="module")
 def runs():
-    """Each run once: (trajectory, field evaluations per step, Euler-start trajectory)."""
+    """Each run once: (trajectory, field evaluations per step, Euler-start and cubic-start trajectories)."""
     done = {}
     for name, build in RUNS.items():
         h, z, spec = build()
         tallied, calls = counted(h)
         path = flow(tallied, z, spec)
-        done[name] = path, calls[0] / spec.steps, euler_start_flow(h, z, spec)
+        done[name] = path, calls[0] / spec.steps, euler_start_flow(h, z, spec), cubic_start_flow(h, z, spec)
     return done
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_extrapolated_starts_agree_with_the_euler_start_to_round_off(runs, name):
-    path, _, oracle = runs[name]
+    path, _, oracle, _ = runs[name]
     assert path.shape == oracle.shape
     assert np.array_equal(path[:4], oracle[:4])  # steps 0-2 keep the Euler start
+    assert np.abs(path - oracle).max() <= 1e-12 * max(1.0, float(np.abs(oracle).max()))
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_quintic_starts_agree_with_the_cubic_start_to_round_off(runs, name):
+    path, _, _, oracle = runs[name]
+    assert path.shape == oracle.shape
+    assert np.array_equal(path[:6], oracle[:6])  # steps 0-2 keep the Euler start, 3-4 the cubic one
     assert np.abs(path - oracle).max() <= 1e-12 * max(1.0, float(np.abs(oracle).max()))
 
 
@@ -178,6 +209,13 @@ def euler_start_advected(f, flow, dt, steps):
         yield f
 
 
+def cubic_start_advected(f, flow, dt, steps):
+    """``cli._advected`` for the swirl before the quintic start: the states of one cubic-start run."""
+    assert flow == "swirl"
+    for m in cubic_start_states(cli._swirl_observable(), f.values, FlowSpec("implicit-midpoint", dt, steps)):
+        yield MapField(f.source, m)
+
+
 def advect_swirl(monkeypatch, capsys, tmp_path, advected, *argv):
     """Exit code, stderr, jr_pair column and every map of an ``advect --flow swirl`` run stepped by ``advected``."""
     maps = []
@@ -208,6 +246,17 @@ def test_swirl_advection_agrees_with_per_step_left_act_to_round_off(monkeypatch,
     assert np.all(np.abs(column - column_o) <= 1e-12 * np.maximum(1.0, np.abs(column_o)))
 
 
+def test_swirl_advection_agrees_with_the_cubic_start_to_round_off(monkeypatch, capsys, tmp_path):
+    argv = ("--grid", "16", "--steps", "100")
+    code, _, column, maps = advect_swirl(monkeypatch, capsys, tmp_path, cli._advected, *argv)
+    code_o, _, column_o, maps_o = advect_swirl(monkeypatch, capsys, tmp_path, cubic_start_advected, *argv)
+    assert code == code_o == 0
+    assert len(maps) == len(maps_o) == 100 and column.shape == column_o.shape == (101,)
+    assert all(np.array_equal(a, b) for a, b in zip(maps[:5], maps_o[:5]))  # steps 0-4 start alike
+    assert all(np.abs(a - b).max() <= 1e-12 * max(1.0, float(np.abs(b).max())) for a, b in zip(maps, maps_o))
+    assert np.all(np.abs(column - column_o) <= 1e-12 * np.maximum(1.0, np.abs(column_o)))
+
+
 @pytest.mark.parametrize("argv", [("--dt", "10"), ("--amplitude", "1", "--dt", "0.2")], ids=["step-0", "step-1"])
 def test_divergent_swirl_stops_at_the_per_step_left_act_step(monkeypatch, capsys, tmp_path, argv):
     argv = ("--grid", "16", "--steps", "5", *argv)
@@ -226,5 +275,5 @@ def test_swirl_advection_saves_field_evaluations(monkeypatch, capsys, tmp_path):
             patch.setattr(cli, "_swirl_observable", lambda: tallied)
             assert advect_swirl(patch, capsys, tmp_path, advected, "--grid", "16", "--steps", "100")[0] == 0
         per_step[advected] = calls[0] / 100
-    assert per_step[cli._advected] <= 8.1
+    assert per_step[cli._advected] <= 6.6  # 6.16 here; the cubic start made 8.06
     assert per_step[euler_start_advected] >= 9.9

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,20 @@ def test_a_stack_of_points_keeps_the_euler_start_for_three_steps():
     for k in range(3):
         assert np.array_equal(states[k], advance(h, pts, FlowSpec("implicit-midpoint", 1e-2, k + 1)))
     assert np.abs(states[-1] - advance(h, pts, FlowSpec("implicit-midpoint", 1e-2, 10))).max() <= 1e-12
+
+
+def test_the_generator_lets_go_of_the_first_state():
+    # step 5's quintic start is the last to read the caller's array, which goes before that step's solve
+    pts = np.random.default_rng(5).normal(size=(4, 2))
+    ref = weakref.ref(pts)
+    gone = []  # at each field evaluation, whether the caller's array is gone
+
+    def gradient(z):
+        gone.append(ref() is None)
+        return z.copy()
+
+    states = _states(Observable(oscillator().value, gradient), pts, FlowSpec("implicit-midpoint", 1e-2, 8))
+    del pts
+    evals = [len(gone) for _ in states]  # the evaluations made up to each yield
+    assert len(evals) == 8 and evals[4] < evals[5]
+    assert all(gone[evals[4] :])

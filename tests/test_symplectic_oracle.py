@@ -64,6 +64,13 @@ def test_random_exp1d_states_match_the_numpy_driver():
     assert 0 < divergent < 40
 
 
+def test_three_peakons_match_the_numpy_driver_across_each_start():
+    # steps 0-2 start at the Euler predictor, 3-4 at the cubic extrapolation, 5-9 at the quintic
+    # one; at this dt the start decides the last bits from step 5 on (at 0.05 it does not)
+    st = SingularState(np.array([[-1.0], [0.2], [1.5]]), np.array([[1.0], [0.5], [-0.3]]), KernelSpec("exp1d", 1.0))
+    assert assert_same_flow(st, FlowSpec("implicit-midpoint", 0.1, 10)) is None
+
+
 @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
 def test_peakon_antipeakon_collision_diverges_at_the_same_step(dt):
     st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), KernelSpec("exp1d", 1.0))
