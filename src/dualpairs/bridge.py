@@ -194,18 +194,18 @@ def momentum_pairing_residual(cov: CovectorField, x_field: VectorField) -> Resid
 
 
 def transport_residual(cov: CovectorField, alpha: StreamFunction) -> float:
-    """Residual of the transport identity on a closed grid source.
+    """Residual of the transport identity over a grid source.
 
     Side one is ``sum_s <P_s, (D Q_s) . X_alpha(s)> mu_s``; side two is the
     right-momentum pairing of the full phase map against alpha,
     ``-sum_cells c * avg(alpha) * spacing^2`` with c the pulled-back
     canonical two-form.  Equal in the continuum (the proof integrates by
-    parts, hence the closed-source requirement); O(N^-2) apart for smooth
-    discrete data.
+    parts over the closed torus); O(N^-2) apart for smooth discrete data.
+    A chain source carries no potential, so it is refused.
     """
     src = cov.source
-    if not isinstance(src, GridSource) or src.topology != "periodic":
-        raise ValueError("the transport identity needs a closed source (periodic grid)")
+    if not isinstance(src, GridSource):
+        raise ValueError("the transport identity needs a grid source")
     _check_same_grid(cov, alpha)
     side1 = covector_pairing(cov, transport_along(src, cov.q, alpha))
     side2 = right_momentum_pair(cov.phase_map(), alpha)

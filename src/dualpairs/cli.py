@@ -246,7 +246,7 @@ def _cmd_converge(opt: dict) -> int:
 
 
 def _require_grid_budget(grid: int) -> None:
-    """Every CLI grid is periodic, with grid^2 nodes."""
+    """A grid source of side ``grid`` has grid^2 nodes."""
     _require(
         grid * grid <= fields.MAX_NODES,
         f"grid {grid} needs {grid * grid} nodes, over the limit of {fields.MAX_NODES} "
@@ -389,7 +389,7 @@ def _cmd_advect(opt: dict) -> int:
     """advect a grid map by a flow on the target"""
     _require_grid_budget(opt["grid"])
     rng = np.random.default_rng(opt["seed"])
-    src = GridSource("periodic", opt["grid"])
+    src = GridSource(opt["grid"])
     f = datagen.sample_map(src, datagen.trig_vector(rng, 2, amplitude=opt["amplitude"]))
     alpha = datagen.sample_stream(src, datagen.trig_scalar(rng)).zero_mean()
     dt = opt["dt"]

@@ -1,12 +1,13 @@
 """Discretized maps from a two-dimensional source into phase space.
 
-The source S is a square grid, either periodic (flat torus) or an open
-patch, carrying positive node weights that play the role of the volume
-measure.  On top of it live sampled maps into R^(2n), tangent fields along
-them, stream functions (potentials of exact divergence-free fields on S),
-and per-cell densities of pulled-back two-forms.  The operations implement
-the weighted pairings, both momentum pairings, the fiber-integration
-pairing, the group actions, and their residual diagnostics.
+The source S is the periodic square grid on the unit torus, whose uniform
+node weights play the role of the volume measure; the right-momentum
+identities integrate by parts over this closed source.  On top of it live
+sampled maps into R^(2n), tangent fields along them, stream functions
+(potentials of exact divergence-free fields on S), and per-cell densities
+of pulled-back two-forms.  The operations implement the weighted pairings,
+both momentum pairings, the fiber-integration pairing, the group actions,
+and their residual diagnostics.
 
 Determinism and exact-invariance policy: every scalar reduction goes
 through ``_fsum_blocks``, an exactly rounded sum over blocks of terms that
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,8 +56,6 @@ __all__ = [
     "stream_vector_field",
     "transport_along",
 ]
-
-TOPOLOGIES = ("periodic", "patch")
 
 # Largest node count the CLI builds a grid for (a 2048 x 2048 periodic grid).
 # Measured by tracemalloc at grid 1024, an advect run peaks at about 12.6
@@ -140,97 +139,59 @@ def format_float(x: float) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class GridSource:
-    """Square grid discretization of the source manifold (k = 2 fixed).
+class _Source:
+    """A closed source with ``n`` nodes per axis and spacing ``1/n``.
 
-    ``n`` is the number of cells per side and the spacing is ``1/n``.  A
-    periodic grid has ``n x n`` nodes; a patch has ``(n+1) x (n+1)`` nodes
-    with trapezoidal weights.  Node weights are positive and sum to the
-    declared total mass (default 1).
+    Its node weights are equal and sum to 1; they are built once, read-only.
     """
 
-    topology: str
     n: int
-    mass: float = 1.0
-    weights: np.ndarray | None = None
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not (float(self.mass) > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.weights is None:
-            w = _frozen(self._default_weights())
-        else:
-            w = _frozen(self.weights, self.node_shape, "weights")
-            if not np.all(w > 0.0):
-                raise ValueError("all node weights must be positive")
-            total = _fsum(w)
-            if abs(total - self.mass) > 1e-12 * self.mass:
-                raise ValueError(f"weights sum to {total}, declared mass is {self.mass}")
+        w = np.full(self.node_shape, 1.0 / math.prod(self.node_shape))
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    def _default_weights(self) -> np.ndarray:
-        w1 = np.ones(self.node_shape[0])
-        if self.topology == "patch":
-            w1[0] = w1[-1] = 0.5  # trapezoidal
-        w = np.outer(w1, w1)
-        w *= self.mass / self.n**2
-        w.flags.writeable = False  # fresh: handed over, so _frozen keeps it
-        return w
 
     @property
     def spacing(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def node_shape(self) -> tuple[int, int]:
-        ns = self.n if self.topology == "periodic" else self.n + 1
-        return (ns, ns)
+
+@dataclass(frozen=True, eq=False)
+class GridSource(_Source):
+    """The periodic ``n x n`` grid on the unit torus (k = 2 fixed).
+
+    ``n`` is the number of nodes, and of cells, per side; node ``(i, j)`` sits
+    at ``(i, j) / n`` and is the lower-left corner of cell ``(i, j)``.  Every
+    node weighs ``1/n^2``.
+    """
 
     @property
-    def cell_shape(self) -> tuple[int, int]:
+    def node_shape(self) -> tuple[int, int]:
         return (self.n, self.n)
+
+    cell_shape = node_shape  # on the torus every node owns one cell
 
     def node_line(self) -> np.ndarray:
         """Node coordinates along one axis (both axes share them)."""
-        return np.arange(self.node_shape[0]) * self.spacing
+        return np.arange(self.n) * self.spacing
 
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays ``(s1, s2)`` of node coordinates, each of node shape."""
         line = self.node_line()
         return np.meshgrid(line, line, indexing="ij")
 
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.weights == self.weights.flat[0]))
-
 
 @dataclass(frozen=True, eq=False)
-class ChainSource:
-    """Closed one-dimensional chain of ``n`` nodes with uniform weights."""
-
-    n: int
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not (float(self.mass) > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
+class ChainSource(_Source):
+    """Closed one-dimensional chain of ``n`` nodes, each weighing ``1/n``."""
 
     @property
     def node_shape(self) -> tuple[int]:
         return (self.n,)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n, self.mass / self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +235,7 @@ class StreamFunction:
 
     def zero_mean(self) -> "StreamFunction":
         """Subtract the weighted mean so the integral against mu vanishes."""
-        mean = _fsum(self.values * self.source.weights) / self.source.mass
+        mean = _fsum(self.values * self.source.weights)
         return StreamFunction(self.source, self.values - mean)
 
 
@@ -329,18 +290,9 @@ def _centered_periodic(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _node_derivatives(source: GridSource, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node partial derivatives along s1 and s2.
-
-    Periodic grids use sixth-order centered differences with wraparound;
-    patches use centered differences inside and second-order one-sided
-    stencils at the boundary (``np.gradient`` with edge_order=2).
-    """
+    """Per-node partial derivatives along s1 and s2, by :func:`_centered_periodic`."""
     h = source.spacing
-    if source.topology == "periodic":
-        return _centered_periodic(values, 0, h), _centered_periodic(values, 1, h)
-    d1 = np.gradient(values, h, axis=0, edge_order=2)
-    d2 = np.gradient(values, h, axis=1, edge_order=2)
-    return d1, d2
+    return _centered_periodic(values, 0, h), _centered_periodic(values, 1, h)
 
 
 def stream_vector_field(source: GridSource, alpha: StreamFunction) -> np.ndarray:
@@ -364,11 +316,8 @@ def transport_along(source: GridSource, values: np.ndarray, alpha: StreamFunctio
 
 
 def _check_same_grid(a, b) -> None:
-    """Raise unless two fields share topology, resolution and node weights."""
-    sa, sb = a.source, b.source
-    if sa is sb:
-        return
-    if (sa.topology, sa.n) != (sb.topology, sb.n) or not np.array_equal(sa.weights, sb.weights):
+    """Raise unless two fields live on sources of the same node shape: the same grid."""
+    if a.source.node_shape != b.source.node_shape:
         raise ValueError("fields live on different grids")
 
 
@@ -408,16 +357,13 @@ def right_generator(f: MapField, alpha: StreamFunction) -> TangentField:
 def _cell_corners(source: GridSource, values: np.ndarray, rows: slice):
     """Stacks (v00, v10, v01, v11) of the corner samples of the cells in ``rows``.
 
-    They are slices of the node array on a patch; on a periodic grid the
-    node rows are first copied with one more row and column wrapped around.
+    They are slices of one copy of the node rows with one more row and
+    column wrapped around.
     """
-    if source.topology == "periodic":
-        w = np.empty((rows.stop - rows.start + 1, source.n + 1) + values.shape[2:])
-        w[:-1, :-1] = values[rows]
-        w[-1, :-1] = values[rows.stop % source.n]
-        w[:, -1] = w[:, 0]
-    else:
-        w = values[rows.start : rows.stop + 1]
+    w = np.empty((rows.stop - rows.start + 1, source.n + 1) + values.shape[2:])
+    w[:-1, :-1] = values[rows]
+    w[-1, :-1] = values[rows.stop % source.n]
+    w[:, -1] = w[:, 0]
     return w[:-1, :-1], w[1:, :-1], w[:-1, 1:], w[1:, 1:]
 
 
@@ -469,7 +415,8 @@ def pullback_omega(f: MapField) -> CellTwoForm:
     """Discrete pullback of the canonical two-form, one density value per cell.
 
     Edge-averaged corner differences make the scheme exact for affine maps
-    and second-order accurate for smooth ones.
+    (on the cells that do not cross the seam) and second-order accurate for
+    smooth ones.
     """
     c = np.concatenate([c for _, c in _pullback_density(f)])
     c.flags.writeable = False  # handed over: the form keeps ``c`` without a copy
@@ -587,9 +534,7 @@ def _rotate_gather(values: np.ndarray) -> np.ndarray:
     return values[(-j_idx) % n, i_idx]
 
 
-def _apply_symmetry(source: GridSource, values: np.ndarray, psi: GridSymmetry) -> np.ndarray:
-    if source.topology != "periodic" or not source.is_uniform():
-        raise ValueError("grid symmetries act only on periodic grids with uniform weights")
+def _apply_symmetry(values: np.ndarray, psi: GridSymmetry) -> np.ndarray:
     out = values
     for _ in range(psi.quarter_turns):
         out = _rotate_gather(out)
@@ -600,12 +545,12 @@ def _apply_symmetry(source: GridSource, values: np.ndarray, psi: GridSymmetry) -
 
 def right_act(f: MapField, psi: GridSymmetry) -> MapField:
     """Compose on the right with a grid symmetry: node permutation, no arithmetic."""
-    return MapField(f.source, _apply_symmetry(f.source, f.values, psi))
+    return MapField(f.source, _apply_symmetry(f.values, psi))
 
 
 def right_act_stream(alpha: StreamFunction, psi: GridSymmetry) -> StreamFunction:
     """The same node permutation applied to a potential (``alpha compose psi``)."""
-    return StreamFunction(alpha.source, _apply_symmetry(alpha.source, alpha.values, psi))
+    return StreamFunction(alpha.source, _apply_symmetry(alpha.values, psi))
 
 
 def left_act(f: MapField, h: Observable, spec: FlowSpec) -> MapField:
@@ -655,11 +600,9 @@ def equivariance_residual(alpha_x: StreamFunction, alpha_y: StreamFunction, f: M
     zero-mean representative the pairing of the right momentum against it
     must match the weighted symplectic pairing of the transported fields.
     Exactly zero when the potentials coincide or are constant; O(N^-2) for
-    smooth data on periodic grids.
+    smooth data.
     """
     src = f.source
-    if src.topology != "periodic":
-        raise ValueError("the equivariance identity needs a closed source (periodic topology)")
     _check_same_grid(f, alpha_x)
     _check_same_grid(f, alpha_y)
     x = stream_vector_field(src, alpha_x)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDivergenceError
-from .fields import _frozen, _fsum, _fsum_blocks
+from .fields import ChainSource, _frozen, _fsum, _fsum_blocks
 from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
@@ -169,7 +169,7 @@ class FilamentState(SingularState):
 
     @staticmethod
     def _default_weights(a: int) -> np.ndarray:
-        return np.full(a, 1.0 / a)
+        return ChainSource(a).weights
 
 
 # -- collective dynamics -------------------------------------------------------

@@ -218,7 +218,7 @@ def numeric_suite(seed: int = 7, n: int = 16, tol: float | None = None) -> list[
     scale-normalized machine-precision checks.
     """
     rng = np.random.default_rng(seed)
-    src = GridSource("periodic", n)
+    src = GridSource(n)
     f = datagen.random_map(rng, src, dim=2)
     u = datagen.random_tangent(rng, src, dim=2)
     v = datagen.random_tangent(rng, src, dim=2)
@@ -414,7 +414,7 @@ def convergence_study(
 
     residuals = []
     for n in grids:
-        src = GridSource("periodic", n)
+        src = GridSource(n)
         sq = 0.0
         for d in draws:
             f = datagen.sample_map(src, d["f"])

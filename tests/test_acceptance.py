@@ -82,7 +82,7 @@ def test_criterion_4_bridge_exactness():
     worst_symplectic = 0.0
     for trial in range(50):
         if trial % 2 == 0:
-            src = GridSource("periodic", int(rng.integers(4, 9)))
+            src = GridSource(int(rng.integers(4, 9)))
         else:
             src = ChainSource(int(rng.integers(5, 17)))
         shape = src.node_shape + (2,)

@@ -20,6 +20,7 @@ from dualpairs.datagen import (
     sample_stream,
 )
 from dualpairs.fields import (
+    ChainSource,
     GridSource,
     GridSymmetry,
     MapField,
@@ -62,7 +63,7 @@ def coordinate_observable(index: int) -> Observable:
 
 
 def test_periodic_node_count_and_spacing():
-    src = GridSource("periodic", 8)
+    src = GridSource(8)
     assert src.node_shape == (8, 8)
     assert src.cell_shape == (8, 8)
     assert src.spacing == 0.125
@@ -70,34 +71,29 @@ def test_periodic_node_count_and_spacing():
     assert s1[0, 0] == 0.0 and s1[-1, 0] == 0.875
 
 
-def test_patch_has_boundary_nodes():
-    src = GridSource("patch", 8)
-    assert src.node_shape == (9, 9)
-    assert src.cell_shape == (8, 8)
-    s1, _ = src.node_coords()
-    assert s1[-1, 0] == 1.0
-
-
-def test_bad_topology_rejected():
-    with pytest.raises(ValueError):
-        GridSource("moebius", 8)
+def test_bad_resolution_rejected():
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            GridSource(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            ChainSource(bad)
 
 
 def test_map_field_needs_even_dim():
-    src = GridSource("periodic", 4)
+    src = GridSource(4)
     with pytest.raises(ValueError):
         MapField(src, np.zeros((4, 4, 3)))
 
 
 def test_field_values_are_read_only():
-    src = GridSource("periodic", 4)
+    src = GridSource(4)
     f = identity_map(src)
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 9.9
 
 
 def test_fields_built_from_views_hold_c_ordered_copies():
-    src = GridSource("periodic", 6)
+    src = GridSource(6)
     rng = np.random.default_rng(3)
     transposed = rng.standard_normal((2, 6, 6)).transpose(1, 2, 0)
     column = rng.standard_normal((6, 1, 2))
@@ -122,24 +118,14 @@ def test_fields_built_from_views_hold_c_ordered_copies():
 
 
 def test_mean_of_first_coordinate_on_4x4_is_exact():
-    src = GridSource("periodic", 4)
+    src = GridSource(4)
     f = identity_map(src)
     # nodes at {0, 1/4, 1/2, 3/4}: the mean is exactly 3/8 in float arithmetic
     assert integrated_observable(f, coordinate_observable(0)) == 0.375
 
 
-def test_integrated_observable_scales_with_mass():
-    src1 = GridSource("periodic", 6, mass=1.0)
-    src2 = GridSource("periodic", 6, mass=2.5)
-    rng = np.random.default_rng(2)
-    f1 = random_map(rng, src1, dim=2)
-    f2 = MapField(src2, f1.values)
-    h = coordinate_observable(1)
-    assert integrated_observable(f2, h) == pytest.approx(2.5 * integrated_observable(f1, h), rel=1e-15)
-
-
 def test_integrated_omega_antisymmetry_is_bitwise():
-    src = GridSource("periodic", 12)
+    src = GridSource(12)
     rng = np.random.default_rng(7)
     f = random_map(rng, src, dim=4)
     u = random_tangent(rng, src, dim=4)
@@ -151,20 +137,10 @@ def test_integrated_omega_antisymmetry_is_bitwise():
 # -- generators ------------------------------------------------------------------
 
 
-def test_right_generator_of_linear_potential_on_patch_is_exact():
-    # alpha = s1 on the unit patch: X_alpha = (0, -1) exactly at every node
-    src = GridSource("patch", 8)
-    f = identity_map(src)
-    s1, _ = src.node_coords()
-    gen = right_generator(f, StreamFunction(src, s1))
-    assert np.array_equal(gen.values[..., 0], np.zeros(src.node_shape))
-    assert np.array_equal(gen.values[..., 1], -np.ones(src.node_shape))
-
-
 def test_right_generator_accuracy_periodic():
     # periodic map (values live in the target plane, so the map itself must
     # wrap smoothly; a raw identity has a seam jump and is not a torus map)
-    src = GridSource("periodic", 64)
+    src = GridSource(64)
     s1, s2 = src.node_coords()
     f = MapField(src, np.stack([np.sin(2 * np.pi * s1), np.cos(2 * np.pi * s2)], axis=-1))
     alpha = StreamFunction(src, np.sin(2 * np.pi * s1))
@@ -175,7 +151,7 @@ def test_right_generator_accuracy_periodic():
 
 
 def test_left_generator_uses_hamiltonian_sign():
-    src = GridSource("periodic", 4)
+    src = GridSource(4)
     f = identity_map(src)
     from dualpairs.fields import left_generator
 
@@ -189,42 +165,35 @@ def test_left_generator_uses_hamiltonian_sign():
 
 
 def test_identity_pullback_is_exactly_one():
-    src = GridSource("patch", 8)
+    # the identity jumps at the seam; the 7 x 7 cells that do not wrap see an affine map
+    src = GridSource(8)
     c = pullback_omega(identity_map(src))
-    assert np.array_equal(c.values, np.ones(src.cell_shape))
+    assert np.array_equal(c.values[:-1, :-1], np.ones((7, 7)))
 
 
 def test_shear_pullback_is_exactly_one():
     # affine maps hit the corner-difference stencil exactly
-    src = GridSource("patch", 8)
+    src = GridSource(8)
     f = identity_map(src)
     shear = np.array([[1.0, 0.0], [-0.25, 1.0]])
-    assert np.array_equal(pullback_omega(nodewise_linear(f, shear)).values, np.ones((8, 8)))
+    assert np.array_equal(pullback_omega(nodewise_linear(f, shear)).values[:-1, :-1], np.ones((7, 7)))
 
 
 def test_pullback_total_telescopes_to_zero():
     # sum of c * h^2 over a periodic grid cancels edge by edge for any map
     rng = np.random.default_rng(11)
     for n in (4, 8, 16):
-        src = GridSource("periodic", n)
+        src = GridSource(n)
         f = random_map(rng, src, dim=2)
         total = pullback_omega(f).integral()
         scale = float(np.abs(pullback_omega(f).values).max()) * src.spacing**2 * n * n
         assert abs(total) <= 1e-14 * max(scale, 1.0), f"n={n}"
 
 
-def test_right_momentum_pair_identity_constant_alpha():
-    # identity map, alpha = 1: pairing integrates -c over the unit square = -1
-    src = GridSource("patch", 8)
-    f = identity_map(src)
-    alpha = StreamFunction(src, np.ones(src.node_shape))
-    assert right_momentum_pair(f, alpha) == -1.0
-
-
 def test_momentum_pairing_gauge_invariance():
     # shifting alpha by a constant cannot change the pairing on a closed grid
     rng = np.random.default_rng(19)
-    src = GridSource("periodic", 12)
+    src = GridSource(12)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
     shifted = StreamFunction(src, alpha.values + 4.75)
@@ -236,7 +205,7 @@ def test_momentum_pairing_gauge_invariance():
 def test_momentum_pairing_holds_one_block_of_cells_at_a_time():
     # no cell array, wrap-padded component or exact-sum temporary of the grid's size
     rng = np.random.default_rng(23)
-    src = GridSource("periodic", 1024)
+    src = GridSource(1024)
     f = random_map(rng, src, dim=2)
     abar = cell_average(src, random_stream(rng, src).values)
     tracemalloc.start()
@@ -249,7 +218,7 @@ def test_momentum_pairing_holds_one_block_of_cells_at_a_time():
 
 
 def test_cell_average_quarter_turn_pairs():
-    src = GridSource("periodic", 4)
+    src = GridSource(4)
     vals = np.arange(16.0).reshape(4, 4)
     avg = cell_average(src, vals)
     # corner grouping ((a00+a11)+(a10+a01))/4 for cell (0,0)
@@ -260,7 +229,7 @@ def test_cell_average_quarter_turn_pairs():
 
 
 def test_fiber_pairing_degree_validation():
-    src = GridSource("periodic", 6)
+    src = GridSource(6)
     rng = np.random.default_rng(23)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
@@ -279,7 +248,7 @@ def test_fiber_pairing_degree_validation():
 
 
 def test_fiber_pairing_two_form_routes_agree():
-    src = GridSource("periodic", 8)
+    src = GridSource(8)
     rng = np.random.default_rng(29)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
@@ -290,7 +259,7 @@ def test_fiber_pairing_two_form_routes_agree():
 
 
 def test_orthogonality_exact_for_constant_potential():
-    src = GridSource("periodic", 10)
+    src = GridSource(10)
     rng = np.random.default_rng(31)
     f = random_map(rng, src, dim=2)
     alpha = StreamFunction(src, np.full(src.node_shape, 2.5))
@@ -299,7 +268,7 @@ def test_orthogonality_exact_for_constant_potential():
 
 
 def test_orthogonality_exact_for_constant_observable():
-    src = GridSource("periodic", 10)
+    src = GridSource(10)
     rng = np.random.default_rng(37)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
@@ -310,7 +279,7 @@ def test_orthogonality_exact_for_constant_observable():
 def test_orthogonality_shrinks_at_second_order():
     fine = []
     for n in (16, 32):
-        src = GridSource("periodic", n)
+        src = GridSource(n)
         s1, s2 = src.node_coords()
         f = MapField(
             src,
@@ -329,7 +298,7 @@ def test_orthogonality_shrinks_at_second_order():
 
 
 def test_equivariance_residual_same_potential_is_zero():
-    src = GridSource("periodic", 12)
+    src = GridSource(12)
     rng = np.random.default_rng(41)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
@@ -337,32 +306,19 @@ def test_equivariance_residual_same_potential_is_zero():
 
 
 def test_fields_on_different_grids_do_not_pair():
-    # Both grids have 16 x 16 nodes; only topology and weights tell them apart.
     rng = np.random.default_rng(47)
-    periodic, patch = GridSource("periodic", 16), GridSource("patch", 15)
-    assert periodic.node_shape == patch.node_shape
-    f = random_map(rng, periodic, dim=2)
+    coarse = GridSource(8)
+    f = random_map(rng, GridSource(16), dim=2)
     with pytest.raises(ValueError, match="different grids"):
-        right_momentum_pair(f, random_stream(rng, patch))
-    uniform_patch = GridSource("patch", 15, weights=periodic.weights)
+        right_momentum_pair(f, random_stream(rng, coarse))
     with pytest.raises(ValueError, match="different grids"):
-        right_momentum_pair(f, random_stream(rng, uniform_patch))
-    heavy = GridSource("periodic", 16, mass=2.0)
+        integrated_omega(f, random_tangent(rng, coarse), random_tangent(rng, coarse))
+    # a chain of 16 nodes has as many nodes per axis, but it is no grid
+    chain = TangentField(ChainSource(16), rng.normal(size=(16, 2)))
     with pytest.raises(ValueError, match="different grids"):
-        right_momentum_pair(f, random_stream(rng, heavy))
-    with pytest.raises(ValueError, match="different grids"):
-        integrated_omega(f, random_tangent(rng, patch), random_tangent(rng, patch))
+        integrated_omega(f, chain, chain)
     # an equal but separately built source still pairs
-    right_momentum_pair(f, random_stream(rng, GridSource("periodic", 16)))
-
-
-def test_equivariance_needs_periodic_source():
-    src = GridSource("patch", 8)
-    rng = np.random.default_rng(43)
-    f = random_map(rng, src, dim=2)
-    alpha = random_stream(rng, src)
-    with pytest.raises(ValueError):
-        equivariance_residual(alpha, alpha, f)
+    right_momentum_pair(f, random_stream(rng, GridSource(16)))
 
 
 # -- symmetry actions ------------------------------------------------------------
@@ -370,7 +326,7 @@ def test_equivariance_needs_periodic_source():
 
 def test_pushforward_invariance_is_bitwise():
     # integral of h(f) is a node sum: permuting nodes cannot change fsum output
-    src = GridSource("periodic", 16)
+    src = GridSource(16)
     rng = np.random.default_rng(53)
     f = random_map(rng, src, dim=2)
     h = coordinate_observable(1)
@@ -379,7 +335,7 @@ def test_pushforward_invariance_is_bitwise():
 
 
 def test_momentum_equivariance_under_grid_symmetry():
-    src = GridSource("periodic", 16)
+    src = GridSource(16)
     rng = np.random.default_rng(59)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
@@ -390,7 +346,7 @@ def test_momentum_equivariance_under_grid_symmetry():
 
 
 def test_left_right_action_commutation_bitwise():
-    src = GridSource("periodic", 8)
+    src = GridSource(8)
     rng = np.random.default_rng(61)
     f = random_map(rng, src, dim=2)
     h = Observable(
@@ -406,7 +362,7 @@ def test_left_right_action_commutation_bitwise():
 
 def test_nodewise_symplectic_invariance():
     rng = np.random.default_rng(67)
-    src = GridSource("periodic", 12)
+    src = GridSource(12)
     f = random_map(rng, src, dim=2)
     alpha = random_stream(rng, src)
     base = right_momentum_pair(f, alpha)
@@ -419,13 +375,6 @@ def test_nodewise_symplectic_invariance():
 def test_non_integer_shift_rejected():
     with pytest.raises(ValueError):
         GridSymmetry(shift=(0.5, 0))
-
-
-def test_symmetry_requires_uniform_periodic():
-    src = GridSource("patch", 8)
-    f = identity_map(src)
-    with pytest.raises(ValueError):
-        right_act(f, GridSymmetry((1, 0), 0))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -527,7 +527,8 @@ def test_trajectory_csv_schema(tmp_path):
     traj = integrate(st, FlowSpec("implicit-midpoint", 0.125, 4))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
-    rows = list(csv.reader(open(path, newline="")))
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == [
         "t",
         "q_1", "q_2", "q_3", "q_4",

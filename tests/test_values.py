@@ -11,6 +11,7 @@ from dualpairs import fields
 from dualpairs.bridge import CovectorField
 from dualpairs.fields import (
     CellTwoForm,
+    ChainSource,
     GridSource,
     MapField,
     StreamFunction,
@@ -21,7 +22,7 @@ from dualpairs.fields import (
 from dualpairs.peakons import FilamentState, KernelSpec, SingularState
 from dualpairs.symplectic import FlowSpec, Observable
 
-SRC = GridSource("periodic", 4)
+SRC = GridSource(4)
 EXP = KernelSpec("exp1d", 1.0)
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -41,7 +42,6 @@ def _ramp(shape) -> np.ndarray:
 
 # name -> (a valid input, the array the value built from an input keeps)
 CASES = {
-    "grid-weights": (np.full((4, 4), 1.0 / 16.0), lambda a: GridSource("periodic", 4, weights=a).weights),
     "map": (_ramp((4, 4, 2)), lambda a: MapField(SRC, a).values),
     "tangent": (_ramp((4, 4, 2)), lambda a: TangentField(SRC, a).values),
     "stream": (_ramp((4, 4)), lambda a: StreamFunction(SRC, a).values),
@@ -137,10 +137,20 @@ def test_pullback_omega_hands_its_fresh_density_to_the_form(monkeypatch, block_c
     assert not np.shares_memory(out, f.values)
 
 
+@pytest.mark.parametrize("source", [GridSource(4), ChainSource(5)], ids=["grid", "chain"])
+def test_source_weights_are_one_read_only_array(source):
+    w = source.weights
+    assert w is source.weights
+    assert w.shape == source.node_shape and not w.flags.writeable
+    assert np.all(w == 1.0 / w.size)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_default_weights_are_one_array_handed_over():
     q = np.zeros((1 << 18, 1))  # 2 MB, as a 512 x 512 grid
     q.flags.writeable = False
-    builds = (lambda: GridSource("periodic", 512), lambda: GridSource("patch", 512), lambda: SingularState(q, q, EXP))
+    builds = (lambda: GridSource(512), lambda: ChainSource(1 << 18), lambda: SingularState(q, q, EXP))
     for build in builds:
         tracemalloc.start()
         try:
