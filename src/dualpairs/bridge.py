@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _integer
 from .fields import (
     ChainSource,
     GridSource,
@@ -68,8 +69,7 @@ class VectorField:
     name: str = ""
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim must be a positive integer", 1))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)

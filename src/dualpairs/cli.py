@@ -84,7 +84,7 @@ def _as_grids(text: str) -> tuple[int, ...]:
 _OPTIONS = {
     "verify": {
         "suite": (str, "all", SUITES, "identity suites to run"),
-        "seed": (int, 7, None, "random seed"),
+        "seed": (int, 7, ">= 0", "random seed"),
         "count": (int, 100, ">= 1", "random draws for the exact suite"),
         "grid": (int, 16, ">= 4", "grid size for the numeric suite"),
         "tol": (float, None, "positive", "override every row tolerance"),
@@ -110,13 +110,13 @@ _OPTIONS = {
         "steps": (int, 100, ">= 0", "advection steps"),
         "dt": (float, 0.0625, "positive", "time step"),
         "amplitude": (float, 0.3, "positive", "amplitude of the initial map"),
-        "seed": (int, 7, None, "random seed"),
+        "seed": (int, 7, ">= 0", "random seed"),
         "out": (str, "advect.csv", None, "CSV output path"),
     },
     "converge": {
         "op": (str, "all", verify.CONVERGENCE_OPS + ("all",), "convergence study"),
         "grids": (_as_grids, (8, 16, 32), ">= 4", "comma-separated ascending grid sizes"),
-        "seed": (int, 7, None, "random seed"),
+        "seed": (int, 7, ">= 0", "random seed"),
         "threshold": (float, 1.9, "positive", "required observed order"),
         "out": (str, "converge.csv", None, "CSV output path"),
     },

@@ -29,7 +29,12 @@ __all__ = [
     "trig_vector",
 ]
 
-def trig_scalar(rng: np.random.Generator, waves: int = 4, amplitude: float = 0.5):
+# Sine modes in each trigonometric closure, and shear or scaling factors in each symplectic matrix.
+_WAVES = 4
+_FACTORS = 3
+
+
+def trig_scalar(rng: np.random.Generator, amplitude: float = 0.5):
     """A random smooth doubly periodic scalar ``fn(s1, s2)`` on the unit torus.
 
     A short sum of unit-wave-number sine modes under mild ``exp(cos)``
@@ -47,15 +52,15 @@ def trig_scalar(rng: np.random.Generator, waves: int = 4, amplitude: float = 0.5
       and keeps the product spectrum of residual integrands low enough
       that N = 8 already sits in the asymptotic regime.
     """
-    amps = amplitude * rng.uniform(0.3, 1.0, size=waves) / 2.0
-    depths = rng.uniform(0.1, 0.3, size=waves)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(waves, 2))
+    amps = amplitude * rng.uniform(0.3, 1.0, size=_WAVES) / 2.0
+    depths = rng.uniform(0.1, 0.3, size=_WAVES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(_WAVES, 2))
 
     def fn(s1, s2):
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
         total = np.zeros(np.broadcast(s1, s2).shape)
-        for k in range(waves):
+        for k in range(_WAVES):
             base, other = (s1, s2) if k % 2 == 0 else (s2, s1)
             arg = 2.0 * np.pi * base + phases[k, 0]
             env = 2.0 * np.pi * other + phases[k, 1]
@@ -65,16 +70,10 @@ def trig_scalar(rng: np.random.Generator, waves: int = 4, amplitude: float = 0.5
     return fn
 
 
-def trig_vector(
-    rng: np.random.Generator,
-    dim: int,
-    waves: int = 4,
-    amplitude: float = 0.5,
-    offsets: bool = True,
-):
+def trig_vector(rng: np.random.Generator, dim: int, amplitude: float = 0.5):
     """A smooth periodic map ``fn(s1, s2) -> (..., dim)`` with random offsets."""
-    comps = [trig_scalar(rng, waves, amplitude) for _ in range(dim)]
-    shift = rng.uniform(-0.5, 0.5, size=dim) if offsets else np.zeros(dim)
+    comps = [trig_scalar(rng, amplitude) for _ in range(dim)]
+    shift = rng.uniform(-0.5, 0.5, size=dim)
 
     def fn(s1, s2):
         return np.stack([shift[i] + comps[i](s1, s2) for i in range(dim)], axis=-1)
@@ -129,7 +128,7 @@ def random_phase_points(rng: np.random.Generator, count: int, n: int, scale: flo
     return rng.uniform(-scale, scale, size=(count, 2 * n))
 
 
-def random_symplectic_matrix(rng: np.random.Generator, n: int, factors: int = 3) -> np.ndarray:
+def random_symplectic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """An exactly symplectic 2n x 2n matrix.
 
     Built as a product of canonical shears with quarter-integer symmetric
@@ -139,7 +138,7 @@ def random_symplectic_matrix(rng: np.random.Generator, n: int, factors: int = 3)
     """
     dim = 2 * n
     m = np.eye(dim)
-    for _ in range(factors):
+    for _ in range(_FACTORS):
         kind = int(rng.integers(0, 3))
         block = np.eye(dim)
         if kind < 2:

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import _integer
 from .symplectic import FlowSpec, Observable, advance, canonical_omega, hamiltonian_vector_field
 
 __all__ = [
@@ -149,8 +150,7 @@ class _Source:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "n must be a positive integer", 1))
         w = np.full(self.node_shape, 1.0 / math.prod(self.node_shape))
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

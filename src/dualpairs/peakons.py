@@ -1,8 +1,9 @@
 """Singular geodesic solutions on the diffeomorphism group at finite rank.
 
 A singular state is a finite support set: positions ``Q``, covector
-densities ``P`` and positive masses ``w``, together with a kernel (the
-Green's function of the inertia operator).  The collective Hamiltonian
+densities ``P`` and the weights ``w`` of its measure, fixed by its kind (1
+per point, ``1/A`` per node of an A-node filament), together with a kernel
+(the Green's function of the inertia operator).  The collective Hamiltonian
 
     H = 1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b
 
@@ -30,11 +31,11 @@ The gaussian kernel sums all A^2 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverDivergenceError
+from .errors import SolverDivergenceError, _integer
 from .fields import ChainSource, _frozen, _fsum, _fsum_blocks
 from .symplectic import FlowSpec, Observable, flow
 
@@ -106,12 +107,12 @@ def _kernel(k: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SingularState:
-    """Positions, covector densities, and masses of a singular solution."""
+    """Positions and covector densities of a singular solution; ``weights`` (1 per point) is derived, not input."""
 
     q: np.ndarray
     p: np.ndarray
     kernel: KernelSpec
-    weights: np.ndarray | None = None
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q = _frozen(np.atleast_2d(self.q))
@@ -119,21 +120,15 @@ class SingularState:
             raise ValueError(f"positions must form an (A, d) array, got shape {q.shape}")
         p = _frozen(np.atleast_2d(self.p), q.shape, "covector")
         _check_kernel_dim(self.kernel, q.shape[1])
-        if self.weights is None:
-            w = self._default_weights(q.shape[0])
-            w.flags.writeable = False  # fresh: handed over, so _frozen keeps it
-            w = _frozen(w)
-        else:
-            w = _frozen(self.weights, q.shape[:1], "weights")
-            if not np.all(w > 0.0):
-                raise ValueError("all weights must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", self._default_weights(q.shape[0]))
 
     @staticmethod
     def _default_weights(a: int) -> np.ndarray:
-        return np.ones(a)
+        w = np.ones(a)
+        w.flags.writeable = False
+        return w
 
     @property
     def count(self) -> int:
@@ -148,14 +143,14 @@ class SingularState:
 class FilamentState(SingularState):
     """A singular state whose points are ordered on a closed chain.
 
-    The chain is ``s in {0 .. A-1} / A`` with spacing ``1/A``; default
-    weights are the chain measure ``1/A``.  Positions must be pairwise
+    The chain is ``s in {0 .. A-1} / A`` with spacing ``1/A``; each node
+    weighs ``1/A``, the chain measure.  Positions must be pairwise
     distinct (a finite surrogate for the embedding condition).  With
     ``nonvanishing=True``, covectors are also required to be nonzero at
     every node.
     """
 
-    nonvanishing: bool = False
+    nonvanishing: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
@@ -312,7 +307,7 @@ def _half_fsum(terms, fsum=math.fsum) -> float:
 
 
 def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H at each state of a (T, A, d) stack of positions and covectors with masses ``w``.
+    """H at each state of a (T, A, d) stack of positions and covectors with weights ``w``.
 
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
     it, in blocks of rows.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one row
@@ -358,10 +353,10 @@ def rhs(st: SingularState) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (Qdot, Pdot) of the collective equations.
 
     ``Qdot_a = sum_b P_b G(Q_a - Q_b) w_b`` and
-    ``Pdot_a = -sum_b (P_a . P_b) grad G(Q_a - Q_b) w_b``; the masses enter
+    ``Pdot_a = -sum_b (P_a . P_b) grad G(Q_a - Q_b) w_b``; the weights enter
     so that P stays a density per unit of the reference measure.  Both come
     from the gradient the steppers use, taken in the canonical variables
-    (Q, P w), with the P equation divided by the masses.
+    (Q, P w), with the P equation divided by the weights.
     """
     a, d = st.count, st.dim
     grad = _collective_observable(st).gradient(_canonical_point(st))
@@ -373,7 +368,7 @@ def rhs(st: SingularState) -> tuple[np.ndarray, np.ndarray]:
 def _collective_observable(template: SingularState) -> Observable:
     """The Hamiltonian as a function of the canonical variables (Q, P w).
 
-    Rescaling the covectors by the masses makes the weighted N-body system
+    Rescaling the covectors by the weights makes the weighted N-body system
     canonical, so the generic symplectic steppers apply unchanged.
     """
     a, d = template.count, template.dim
@@ -522,21 +517,14 @@ def filament_current(st: FilamentState) -> np.ndarray:
 
 
 def reparametrize(st: SingularState, shift: int) -> SingularState:
-    """Rotate the support labels by ``shift`` (an exact chain diffeomorphism).
+    """Rotate the support labels by the integer ``shift`` (an exact chain diffeomorphism).
 
     Pure array relabeling: sums over the support (Hamiltonian, pairings
     with target fields) are exactly invariant, and the chain current of a
     filament rotates by the same shift bit for bit.
     """
-    shift = int(shift)
-    kwargs = {"nonvanishing": st.nonvanishing} if isinstance(st, FilamentState) else {}
-    return type(st)(
-        np.roll(st.q, -shift, axis=0),
-        np.roll(st.p, -shift, axis=0),
-        st.kernel,
-        np.roll(st.weights, -shift),
-        **kwargs,
-    )
+    shift = _integer(shift, "shift must be an integer")
+    return replace(st, q=np.roll(st.q, -shift, axis=0), p=np.roll(st.p, -shift, axis=0))
 
 
 # -- serialization --------------------------------------------------------------

@@ -597,19 +597,14 @@ def cocycle_identity_residual(
     return total
 
 
-def random_poly(
-    rng: random.Random,
-    nvars: int,
-    max_degree: int = 4,
-    terms: int = 5,
-) -> RationalPoly:
-    """Seeded random polynomial with small rational coefficients.
+def random_poly(rng: random.Random, nvars: int, max_degree: int = 4) -> RationalPoly:
+    """Seeded random polynomial of five drawn terms with small rational coefficients.
 
     Used by the verification suites and the property tests; exactness is
     unaffected by the distribution details.
     """
     out: dict[int, Fraction] = {}
-    for _ in range(terms):
+    for _ in range(5):
         degree = rng.randint(0, max_degree)
         index = [0] * nvars
         for _ in range(degree):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SolverDivergenceError
+from .errors import SolverDivergenceError, _integer
 
 __all__ = [
     "METHODS",
@@ -110,8 +110,7 @@ class FlowSpec:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (float(self.dt) > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if int(self.steps) != self.steps or self.steps < 0:
-            raise ValueError(f"steps must be a nonnegative integer, got {self.steps}")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps must be a nonnegative integer", 0))
 
 
 def _split(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -71,6 +71,14 @@ def test_dim_must_be_positive():
         VectorField(lambda p: p, dim=0)
 
 
+def test_dim_must_be_an_integer():
+    # a float, even a whole one, or a bool is refused; a NumPy integer is kept as an int
+    for bad in (2.0, 1.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            VectorField(lambda p: p, dim=bad)
+    assert type(VectorField(lambda p: p, dim=np.int64(2)).dim) is int
+
+
 # -- momentum functions -----------------------------------------------------------
 
 

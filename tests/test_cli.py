@@ -100,6 +100,16 @@ def test_verify_rejects_nonpositive_count(capsys):
     assert "count" in err
 
 
+@pytest.mark.parametrize("argv", [("verify", "--suite", "exact"), ("verify", "--suite", "numeric"), ("advect",), ("converge",)])
+def test_a_negative_seed_is_refused_by_name(capsys, tmp_path, argv):
+    # every subcommand that reads a seed refuses -1 up front, before any suite or run starts
+    out = tmp_path / "never.csv"
+    code, _, err = run(capsys, *argv, "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 # -- converge ---------------------------------------------------------------------
 
 

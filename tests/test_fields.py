@@ -79,6 +79,17 @@ def test_bad_resolution_rejected():
             ChainSource(bad)
 
 
+@pytest.mark.parametrize("source", [GridSource, ChainSource])
+def test_resolution_must_be_an_integer(source):
+    # a float, even a whole one, or a bool is refused; a NumPy integer is kept as an int
+    for bad in (8.0, True, np.float64(8.0)):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            source(bad)
+    kept = source(np.int64(8))
+    assert type(kept.n) is int and all(type(k) is int for k in kept.node_shape)
+    assert np.array_equal(kept.weights, source(8).weights)
+
+
 def test_map_field_needs_even_dim():
     src = GridSource(4)
     with pytest.raises(ValueError):

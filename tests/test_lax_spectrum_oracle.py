@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dualpairs import cli
-from dualpairs.peakons import KernelSpec, SingularState, integrate
+from dualpairs.peakons import FilamentState, KernelSpec, SingularState, integrate
 from dualpairs.symplectic import FlowSpec
 
 
@@ -38,9 +38,10 @@ def cli_pair():
 
 
 def six_positive_peakons():
+    """Six peakons on a 1-D filament, so each weighs 1/6 and ``P w`` rounds."""
     rng = np.random.default_rng(5)
     q = np.sort(rng.uniform(-3.0, 3.0, 6))[:, None]
-    return SingularState(q, rng.uniform(0.2, 2.0, (6, 1)), KernelSpec("exp1d", 0.7), rng.uniform(0.5, 2.0, 6))
+    return FilamentState(q, rng.uniform(0.2, 2.0, (6, 1)), KernelSpec("exp1d", 0.7))
 
 
 def test_spectrum_of_a_single_peakon_is_its_momentum():

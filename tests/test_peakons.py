@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.fields import format_float
+from dualpairs.fields import ChainSource, format_float
 from dualpairs.peakons import (
     FilamentState,
     FlowSpec,
@@ -96,7 +96,10 @@ def test_kernel_length_scale_whose_square_underflows_is_refused(family):
 def test_singular_state_shapes_and_defaults():
     st = SingularState(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), KernelSpec("exp1d", 1.0))
     assert st.count == 2 and st.dim == 1
-    assert np.array_equal(st.weights, np.ones(2))
+    assert np.array_equal(st.weights, np.ones(2)) and not st.weights.flags.writeable
+    # the weights follow from the kind of state: they are not an input
+    with pytest.raises(TypeError):
+        SingularState(st.q, st.p, st.kernel, weights=np.ones(2))
 
 
 def test_singular_state_length_mismatch():
@@ -107,6 +110,12 @@ def test_singular_state_length_mismatch():
 def test_filament_weights_default_to_chain_spacing():
     st = circle_filament(nodes=16)
     assert np.array_equal(st.weights, np.full(16, 1.0 / 16.0))
+    assert np.array_equal(circle_filament(nodes=40).weights, ChainSource(40).weights)
+    assert not st.weights.flags.writeable
+    with pytest.raises(TypeError):
+        FilamentState(st.q, st.p, st.kernel, weights=st.weights)
+    with pytest.raises(TypeError):  # nonvanishing is keyword-only
+        FilamentState(st.q, st.p, st.kernel, st.weights)
 
 
 def test_filament_rejects_coincident_nodes():
@@ -169,30 +178,21 @@ def test_symmetric_peakon_pair_stays_mirror_symmetric():
     assert np.abs(traj.p[:, 0, 0] + traj.p[:, 1, 0]).max() <= 1e-12
 
 
-def test_rhs_weights_enter_pairwise_sums():
-    q = np.array([[0.0], [0.5]])
-    p = np.array([[1.0], [-0.5]])
-    w = np.array([2.0, 3.0])
-    st = SingularState(q, p, KernelSpec("exp1d", 1.0), w)
-    dq, dp = rhs(st)
-    expected = p[0, 0] * 0.5 * w[0] + p[1, 0] * math.exp(-0.5) / 2.0 * w[1]
-    assert dq[0, 0] == pytest.approx(expected, rel=1e-14)
-
-
 def test_diagnostics_match_per_state_values_bitwise():
-    # 64 nodes put 16 rows in a block of the diagnostics; 40 steps span three blocks.
+    # 60 nodes put 18 rows in a block of the diagnostics; 40 steps span three blocks.
+    # Their weight 1/60 is not a power of two, so P -> P w -> P rounds.
     rng = np.random.default_rng(11)
-    nodes = 64
+    nodes = 60
     ang = 2 * np.pi * np.arange(nodes) / nodes
     q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = 0.5 * np.stack([-np.sin(ang), np.cos(ang)], axis=-1) + 0.1 * rng.normal(size=(nodes, 2))
-    st = FilamentState(q, p, KernelSpec("gaussian", 0.8), rng.uniform(0.5, 1.5, nodes) / nodes)
+    st = FilamentState(q, p, KernelSpec("gaussian", 0.8))
     traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 40))
     h = traj.hamiltonians()
     ptot = traj.total_momenta()
     assert h.shape == (41,) and ptot.shape == (41, 2)
     for i in range(len(traj)):
-        state = FilamentState(traj.q[i], traj.p[i], st.kernel, st.weights)
+        state = FilamentState(traj.q[i], traj.p[i], st.kernel)
         assert collective_hamiltonian(state) == h[i]
         assert np.array_equal(total_momentum(state), ptot[i])
 
@@ -224,13 +224,19 @@ def _reference_gradient(st, z):
     return np.concatenate([dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1)
 
 
-def _random_state(seed, count, dim, family, alpha):
+def _random_state(seed, count, dim, family, alpha, ties=None):
+    """Random covectors: on points of weight 1 with tied positions (the exp1d default), or else on a
+    filament of weight 1/count, which is not a power of two at 40 nodes, so ``P w`` rounds."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(count, dim))
-    if family == "exp1d":
-        q[3] = q[0]  # coincident points: the kernel slope there is 0 by convention
-        q[7] = q[5]
-    return SingularState(q, rng.normal(size=(count, dim)), KernelSpec(family, alpha), rng.uniform(0.2, 3.0, count))
+    p = rng.normal(size=(count, dim))
+    if ties is None:
+        ties = family == "exp1d"
+    if not ties:
+        return FilamentState(q, p, KernelSpec(family, alpha))
+    q[3] = q[0]  # coincident points: the kernel slope there is 0 by convention
+    q[7] = q[5]
+    return SingularState(q, p, KernelSpec(family, alpha))
 
 
 @pytest.mark.parametrize(
@@ -264,12 +270,15 @@ def _reference_energy(st):
 
 
 def _exp1d_state(seed, count, alpha, spread=1.0, ties=True):
+    """Points of weight 1 with tied positions from 12 points on; else a 1-D filament of weight 1/count."""
     rng = np.random.default_rng(seed)
     q = spread * rng.normal(size=(count, 1))
-    if ties and count >= 12:
-        q[3] = q[0]  # a tied pair
-        q[9] = q[8] = q[5]  # a tied triple
-    return SingularState(q, rng.normal(size=(count, 1)), KernelSpec("exp1d", alpha), rng.uniform(0.2, 3.0, count))
+    p = rng.normal(size=(count, 1))
+    if not (ties and count >= 12):
+        return FilamentState(q, p, KernelSpec("exp1d", alpha))
+    q[3] = q[0]  # a tied pair
+    q[9] = q[8] = q[5]  # a tied triple
+    return SingularState(q, p, KernelSpec("exp1d", alpha))
 
 
 def _assert_matches_dense(st, tol=1e-12):
@@ -285,13 +294,15 @@ def _assert_matches_dense(st, tol=1e-12):
 @pytest.mark.parametrize("count", [1, 2, 3, 12, 97, 512])
 def test_exp1d_scan_matches_dense_sums(count, alpha):
     _assert_matches_dense(_exp1d_state(count, count, alpha))
+    if count >= 12:  # the same positions untied, as a filament
+        _assert_matches_dense(_exp1d_state(count, count, alpha, ties=False))
 
 
 def test_exp1d_scan_ties_keep_the_flat_crest_convention():
     k = KernelSpec("exp1d", 0.7)
     q = np.array([[0.3], [-1.0], [0.3], [2.0], [0.3], [-1.0]])  # a tied triple and a tied pair
     p = np.array([[1.0], [-2.0], [0.5], [0.25], [-3.0], [4.0]])
-    st = SingularState(q, p, k, np.array([0.5, 1.0, 2.0, 1.5, 0.25, 3.0]))
+    st = SingularState(q, p, k)
     _assert_matches_dense(st)
     # tied points share one field value: they move together
     dq, _ = rhs(st)
@@ -303,12 +314,14 @@ def test_exp1d_scan_underflows_across_wide_gaps():
     alpha = 0.7
     rng = np.random.default_rng(41)
     q = np.concatenate([rng.normal(size=20) + c * 1500.0 * alpha for c in range(3)])[:, None]
-    st = SingularState(q, rng.normal(size=(60, 1)), KernelSpec("exp1d", alpha), rng.uniform(0.5, 2.0, 60))
+    st = FilamentState(q, rng.normal(size=(60, 1)), KernelSpec("exp1d", alpha))  # weight 1/60
     assert float(np.ptp(q)) > 1000.0 * alpha
     _assert_matches_dense(st)
-    alone = SingularState(q[:20], st.p[:20], st.kernel, st.weights[:20])
-    _, dp = rhs(st)
-    assert np.array_equal(dp[:20], rhs(alone)[1])
+    # the first cluster's forces, in the canonical variables, are those of the cluster alone
+    z = _canonical_point(st)
+    alone = _collective_observable(SingularState(q[:20], st.p[:20], st.kernel))
+    dq_grad = alone.gradient(np.concatenate([z[:20], z[60:80]]))[:20]
+    assert np.array_equal(_collective_observable(st).gradient(z)[:20], dq_grad)
 
 
 def test_exp1d_batch_rows_equal_single_rows_bitwise():
@@ -327,7 +340,7 @@ def test_exp1d_batch_rows_equal_single_rows_bitwise():
 @pytest.mark.parametrize("family, dim", [("exp1d", 1), ("gaussian", 2)])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_observable_value_is_collective_hamiltonian_bitwise(family, dim, weighted):
-    states = [_random_state(seed, 40, dim, family, 0.8) for seed in (31, 37, 41)]
+    states = [_random_state(seed, 40, dim, family, 0.8, ties=False if weighted else None) for seed in (31, 37, 41)]
     if not weighted:
         states = [SingularState(st.q, st.p, st.kernel) for st in states]
     obs = _collective_observable(states[0])
@@ -343,11 +356,11 @@ def test_observable_value_is_collective_hamiltonian_bitwise(family, dim, weighte
 def test_canonical_hamiltonian_against_the_weighted_pair_sum(power_of_two):
     # H was once summed as (P_a . P_b) G w_a w_b; summing (pt_a . pt_b) G with pt = P w moves
     # only the last bits, and none when every weight is a power of two (filaments of 2^k nodes)
-    st = _random_state(43, 40, 2, "gaussian", 0.8)
-    w = np.full(40, 1.0 / 64.0) if power_of_two else st.weights
+    st = _random_state(43, 64 if power_of_two else 40, 2, "gaussian", 0.8)
+    w = st.weights
     terms = _pair_terms(st.kernel, st.q, st.p) * np.outer(w, w)
     old, size = 0.5 * math.fsum(terms.ravel()), 0.5 * math.fsum(np.abs(terms).ravel())
-    h = collective_hamiltonian(SingularState(st.q, st.p, st.kernel, w))
+    h = collective_hamiltonian(st)
     if power_of_two:
         assert h == old
     else:
@@ -366,7 +379,7 @@ def test_exp1d_hamiltonians_equal_per_state_values_bitwise():
     h = traj.hamiltonians()
     assert h.shape == (31,)
     for i in range(len(traj)):
-        assert collective_hamiltonian(SingularState(traj.q[i], traj.p[i], st.kernel, st.weights)) == h[i]
+        assert collective_hamiltonian(SingularState(traj.q[i], traj.p[i], st.kernel)) == h[i]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -423,14 +436,14 @@ def test_hamiltonians_half_sum_equals_full_matrix_fsum(dim, count, rows):
 
 def test_hamiltonian_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    st = SingularState(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), KernelSpec("gaussian", 1.3))
+    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.3))  # weight 1/5
     dq, dp = rhs(st)
     eps = 1e-6
 
     def h_of(q, p):
-        return collective_hamiltonian(SingularState(q, p, st.kernel, st.weights))
+        return collective_hamiltonian(FilamentState(q, p, st.kernel))
 
-    for a in range(4):
+    for a in range(5):
         for i in range(2):
             qp = st.q.copy(); qp[a, i] += eps
             qm = st.q.copy(); qm[a, i] -= eps
@@ -439,7 +452,7 @@ def test_hamiltonian_gradient_matches_finite_differences():
             pm = st.p.copy(); pm[a, i] -= eps
             dh_dp = (h_of(st.q, pp) - h_of(st.q, pm)) / (2 * eps)
             # Hamilton's equations with the weight-canonical pairing
-            assert dq[a, i] * st.weights[a] == pytest.approx(dh_dp * st.weights[a], abs=1e-8)
+            assert dq[a, i] * st.weights[a] == pytest.approx(dh_dp, abs=1e-8)
             assert dp[a, i] * st.weights[a] == pytest.approx(-dh_dq, abs=1e-8)
 
 
@@ -448,7 +461,7 @@ def test_hamiltonian_gradient_matches_finite_differences():
 
 def test_pair_with_constant_field_is_total_momentum():
     rng = np.random.default_rng(13)
-    st = SingularState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.0), rng.uniform(0.5, 2.0, 5))
+    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.0))  # weight 1/5
     value = pair_with_field(st, np.array([1.0, 0.0]))
     assert value == total_momentum(st)[0]
 
@@ -482,6 +495,18 @@ def test_reparametrize_is_exact_cyclic_shift():
     # full cycle and zero shift are identities
     assert np.array_equal(reparametrize(st, 10).q, st.q)
     assert np.array_equal(reparametrize(st, 0).q, st.q)
+
+
+def test_reparametrize_takes_an_integer_shift():
+    st = circle_filament(nodes=10)
+    for bad in (1.5, 3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="shift must be an integer"):
+            reparametrize(st, bad)
+    assert np.array_equal(reparametrize(st, np.int64(3)).q, reparametrize(st, 3).q)
+    # a point state rotates too, and a filament keeps its flag
+    points = SingularState(st.q, st.p, st.kernel)
+    assert type(reparametrize(points, 3)) is SingularState
+    assert reparametrize(FilamentState(st.q, st.p, st.kernel, nonvanishing=True), 3).nonvanishing
 
 
 def test_pairing_invariant_under_reparametrize():

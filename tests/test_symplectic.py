@@ -87,6 +87,15 @@ def test_unknown_method_rejected():
         FlowSpec("leapfrog-deluxe", 1e-2, 5)
 
 
+def test_steps_must_be_an_integer():
+    # a float, even a whole one, or a bool is refused; a NumPy integer is kept as an int
+    for bad in (3.0, 2.5, -1, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="steps must be a nonnegative integer"):
+            FlowSpec("implicit-midpoint", 1e-2, bad)
+    spec = FlowSpec("implicit-midpoint", 1e-2, np.int64(3))
+    assert type(spec.steps) is int and spec == FlowSpec("implicit-midpoint", 1e-2, 3)
+
+
 def test_divergence_reports_step_index():
     # steep quartic + huge step: the midpoint fixed point iteration blows up
     h = Observable(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.peakons import FilamentState, KernelSpec, SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import FlowSpec, Observable, flow
 
 
@@ -42,15 +42,20 @@ def assert_same_flow(st, spec):
 
 
 def random_exp1d_state(seed):
-    """A from 1 to 64, random masses, momenta of both signs, and tied positions."""
+    """A from 1 to 64 and momenta of both signs.
+
+    Odd seeds tie positions, on points of weight 1; even seeds keep them
+    distinct, on a 1-D filament of weight 1/A, so ``P w`` rounds unless A
+    is a power of two.
+    """
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 65))
     q = rng.normal(scale=rng.uniform(0.2, 3.0), size=(count, 1))
-    for _ in range(count // 8):
+    for _ in range(count // 8 if seed % 2 else 0):
         a, b = rng.integers(0, count, 2)
         q[a] = q[b]
     p = rng.normal(size=(count, 1))
-    return SingularState(q, p, KernelSpec("exp1d", rng.uniform(0.3, 2.0)), rng.uniform(0.2, 3.0, count))
+    return (SingularState if seed % 2 else FilamentState)(q, p, KernelSpec("exp1d", rng.uniform(0.3, 2.0)))
 
 
 def test_random_exp1d_states_match_the_numpy_driver():

@@ -50,10 +50,8 @@ CASES = {
     "covector-p": (_ramp((4, 4, 2)), lambda a: CovectorField(SRC, np.zeros((4, 4, 2)), a).p),
     "singular-q": (_ramp((3, 1)), lambda a: SingularState(a, np.ones((3, 1)), EXP).q),
     "singular-p": (_ramp((3, 1)), lambda a: SingularState(np.zeros((3, 1)), a, EXP).p),
-    "singular-weights": (_ramp((3,)), lambda a: SingularState(np.zeros((3, 1)), np.ones((3, 1)), EXP, a).weights),
     "filament-q": (_circle(5), lambda a: FilamentState(a, np.ones((5, 2)), GAUSS).q),
     "filament-p": (_ramp((5, 2)), lambda a: FilamentState(_circle(5), a, GAUSS).p),
-    "filament-weights": (_ramp((5,)), lambda a: FilamentState(_circle(5), np.ones((5, 2)), GAUSS, a).weights),
 }
 
 
