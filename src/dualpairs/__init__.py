@@ -60,8 +60,6 @@ from .peakons import (
     integrate,
     pair_with_field,
     reparametrize,
-    rhs,
-    total_momentum,
 )
 from .polyalg import (
     ExtendedElement,

@@ -87,21 +87,18 @@ _OPTIONS = {
         "seed": (int, 7, ">= 0", "random seed"),
         "count": (int, 100, ">= 1", "random draws for the exact suite"),
         "grid": (int, 16, ">= 4", "grid size for the numeric suite"),
-        "tol": (float, None, "positive", "override every row tolerance"),
         "out": (str, None, None, "CSV output path"),
     },
     "peakon": {
         "n": (int, None, ">= 1", "number of points of a point run (default 1)"),
         "dim": (int, None, ">= 1", "target dimension of a point run (default 1)"),
-        "kernel": (str, None, peakons.KERNEL_FAMILIES, "kernel; exp1d for 1-D points, else gaussian"),
-        "alpha": (float, 1.0, "positive", "kernel length scale"),
+        "alpha": (float, 1.0, "positive", "kernel length scale; exp1d for 1-D points, else gaussian"),
         "p": (float, 2.0, None, "momentum magnitude"),
         "dt": (float, 1e-3, "positive", "time step"),
         "t_final": (float, 5.0, "positive", "end time"),
         "method": (str, "implicit-midpoint", METHODS, "integrator"),
         "filament": (_as_bool, False, None, "run a closed filament of --nodes nodes"),
         "nodes": (int, None, ">= 3", "node count of a filament run (default 32)"),
-        "radius": (float, None, "positive", "radius of a filament run (default 1)"),
         "out": (str, "peakon.csv", None, "CSV output path"),
     },
     "advect": {
@@ -117,7 +114,6 @@ _OPTIONS = {
         "op": (str, "all", verify.CONVERGENCE_OPS + ("all",), "convergence study"),
         "grids": (_as_grids, (8, 16, 32), ">= 4", "comma-separated ascending grid sizes"),
         "seed": (int, 7, ">= 0", "random seed"),
-        "threshold": (float, 1.9, "positive", "required observed order"),
         "out": (str, "converge.csv", None, "CSV output path"),
     },
 }
@@ -220,7 +216,7 @@ def _cmd_verify(opt: dict) -> int:
     if opt["suite"] in ("exact", "all"):
         rows += verify.exact_suite(opt["seed"], opt["count"])
     if opt["suite"] in ("numeric", "all"):
-        rows += verify.numeric_suite(opt["seed"], opt["grid"], opt["tol"])
+        rows += verify.numeric_suite(opt["seed"], opt["grid"])
     for row in rows:
         _print_row(row)
     if opt["out"]:
@@ -237,7 +233,7 @@ def _cmd_converge(opt: dict) -> int:
         _require_grid_budget(grid)
     rows = []
     for op in ops:
-        study = verify.convergence_study(op, opt["grids"], opt["seed"], opt["threshold"])
+        study = verify.convergence_study(op, opt["grids"], opt["seed"])
         rows += study
         _print_row(study[-1])
     if opt["out"]:
@@ -284,7 +280,7 @@ def _require_trajectory_budget(opt: dict, count: int, dim: int) -> int:
 
 # The options only one peakon mode reads, with their defaults.  Setting one for a run of the
 # other mode is a usage error, so that no run silently ignores what it was asked.
-_PEAKON_MODES = {"point": {"n": 1, "dim": 1}, "filament": {"nodes": 32, "radius": 1.0}}
+_PEAKON_MODES = {"point": {"n": 1, "dim": 1}, "filament": {"nodes": 32}}
 
 
 def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
@@ -298,13 +294,13 @@ def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
     else:
         count, dim = opt["n"], opt["dim"]
         family = "exp1d" if dim == 1 else "gaussian"
-    kernel = KernelSpec(opt["kernel"] or family, opt["alpha"])
+    kernel = KernelSpec(family, opt["alpha"])
     _require_pair_budget(count, kernel)
     spec = FlowSpec(opt["method"], opt["dt"], _require_trajectory_budget(opt, count, dim))
     if opt["filament"]:
         s = np.arange(count) / count
         ang = 2.0 * np.pi * s
-        q = opt["radius"] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         tangent = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
         p = opt["p"] * tangent
         return FilamentState(q, p, kernel), spec

@@ -106,26 +106,26 @@ def sample_tangent(source: GridSource, fn) -> TangentField:
     return TangentField(source, _sample(source, fn))
 
 
-def random_stream(rng: np.random.Generator, source: GridSource, amplitude: float = 0.5) -> StreamFunction:
-    return StreamFunction(source, rng.uniform(-amplitude, amplitude, source.node_shape))
+def random_stream(rng: np.random.Generator, source: GridSource) -> StreamFunction:
+    return StreamFunction(source, rng.uniform(-0.5, 0.5, source.node_shape))
 
 
-def random_map(rng: np.random.Generator, source: GridSource, dim: int = 2, amplitude: float = 0.5) -> MapField:
-    return MapField(source, rng.uniform(-amplitude, amplitude, source.node_shape + (dim,)))
+def random_map(rng: np.random.Generator, source: GridSource, dim: int = 2) -> MapField:
+    return MapField(source, rng.uniform(-0.5, 0.5, source.node_shape + (dim,)))
 
 
-def random_tangent(rng: np.random.Generator, source: GridSource, dim: int = 2, amplitude: float = 1.0) -> TangentField:
-    return TangentField(source, rng.uniform(-amplitude, amplitude, source.node_shape + (dim,)))
+def random_tangent(rng: np.random.Generator, source: GridSource, dim: int = 2) -> TangentField:
+    return TangentField(source, rng.uniform(-1.0, 1.0, source.node_shape + (dim,)))
 
 
-def random_covector(rng: np.random.Generator, source, dim: int = 2, amplitude: float = 0.7) -> CovectorField:
+def random_covector(rng: np.random.Generator, source, dim: int = 2) -> CovectorField:
     shape = source.node_shape + (dim,)
-    return CovectorField(source, rng.uniform(-amplitude, amplitude, shape), rng.uniform(-amplitude, amplitude, shape))
+    return CovectorField(source, rng.uniform(-0.7, 0.7, shape), rng.uniform(-0.7, 0.7, shape))
 
 
-def random_phase_points(rng: np.random.Generator, count: int, n: int, scale: float = 1.0) -> np.ndarray:
-    """A batch of ``count`` points in R^(2n), uniform in a centered box."""
-    return rng.uniform(-scale, scale, size=(count, 2 * n))
+def random_phase_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """A batch of ``count`` points in R^(2n), uniform in the centered unit box."""
+    return rng.uniform(-1.0, 1.0, size=(count, 2 * n))
 
 
 def random_symplectic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -156,11 +156,11 @@ def random_symplectic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
-def random_polynomial_field(rng: np.random.Generator, dim: int, scale: float = 0.5) -> VectorField:
-    """A quadratic vector field on R^dim with its analytic Jacobian."""
-    c = scale * rng.uniform(-1.0, 1.0, size=dim)
-    a = scale * rng.uniform(-1.0, 1.0, size=(dim, dim))
-    b = scale * rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
+def random_polynomial_field(rng: np.random.Generator, dim: int) -> VectorField:
+    """A quadratic vector field on R^dim, coefficients uniform in [-1/2, 1/2), with its analytic Jacobian."""
+    c = 0.5 * rng.uniform(-1.0, 1.0, size=dim)
+    a = 0.5 * rng.uniform(-1.0, 1.0, size=(dim, dim))
+    b = 0.5 * rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
     b = 0.5 * (b + b.transpose(0, 2, 1))
 
     def func(x):

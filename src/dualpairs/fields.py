@@ -521,10 +521,9 @@ class GridSymmetry:
 
     def __post_init__(self):
         s1, s2 = self.shift
-        if int(s1) != s1 or int(s2) != s2:
-            raise ValueError(f"shift must be a pair of integers, got {self.shift}")
-        object.__setattr__(self, "shift", (int(s1), int(s2)))
-        object.__setattr__(self, "quarter_turns", int(self.quarter_turns) % 4)
+        object.__setattr__(self, "shift", tuple(_integer(s, "shift entries must be integers") for s in (s1, s2)))
+        turns = _integer(self.quarter_turns, "quarter_turns must be an integer")
+        object.__setattr__(self, "quarter_turns", turns % 4)
 
 
 def _rotate_gather(values: np.ndarray) -> np.ndarray:

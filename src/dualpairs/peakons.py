@@ -49,8 +49,6 @@ __all__ = [
     "filament_current",
     "pair_with_field",
     "reparametrize",
-    "rhs",
-    "total_momentum",
     "write_trajectory_csv",
 ]
 
@@ -77,9 +75,11 @@ class KernelSpec:
             raise ValueError(f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
         if not (float(self.alpha) > 0.0):
             raise ValueError(f"kernel length scale must be positive, got {self.alpha}")
-        # both kernels divide by 2 alpha^2, which must not underflow to 0
-        if not (2.0 * self.alpha * self.alpha > 0.0):
-            raise ValueError(f"kernel length scale alpha = {self.alpha} is too small: 2·alpha² underflows to 0")
+        # both kernels divide by 2 alpha^2, which must be a positive finite double
+        scale2 = 2.0 * self.alpha * self.alpha
+        if not 0.0 < scale2 < math.inf:
+            side = "too small: 2·alpha² underflows to 0" if scale2 == 0.0 else "too large: 2·alpha² overflows"
+            raise ValueError(f"kernel length scale alpha = {self.alpha} is {side}")
 
 
 def _check_kernel_dim(k: KernelSpec, d: int) -> None:
@@ -349,22 +349,6 @@ def _canonical_point(st: SingularState) -> np.ndarray:
     return np.concatenate([st.q.ravel(), (st.p * st.weights[:, None]).ravel()])
 
 
-def rhs(st: SingularState) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (Qdot, Pdot) of the collective equations.
-
-    ``Qdot_a = sum_b P_b G(Q_a - Q_b) w_b`` and
-    ``Pdot_a = -sum_b (P_a . P_b) grad G(Q_a - Q_b) w_b``; the weights enter
-    so that P stays a density per unit of the reference measure.  Both come
-    from the gradient the steppers use, taken in the canonical variables
-    (Q, P w), with the P equation divided by the weights.
-    """
-    a, d = st.count, st.dim
-    grad = _collective_observable(st).gradient(_canonical_point(st))
-    qdot = grad[a * d :].reshape(a, d)
-    pdot = -grad[: a * d].reshape(a, d) / st.weights[:, None]
-    return qdot, pdot
-
-
 def _collective_observable(template: SingularState) -> Observable:
     """The Hamiltonian as a function of the canonical variables (Q, P w).
 
@@ -497,11 +481,6 @@ def pair_with_field(st: SingularState, x_field) -> float:
         xv = np.broadcast_to(np.asarray(x_field, dtype=float), st.q.shape)
     terms = np.einsum("ai,ai->a", st.p, xv) * st.weights
     return _fsum(terms)
-
-
-def total_momentum(st: SingularState) -> np.ndarray:
-    """``sum_a P_a w_a`` — the translation charge, one component per target axis."""
-    return _weighted_totals(st.p, st.weights)
 
 
 def filament_current(st: FilamentState) -> np.ndarray:

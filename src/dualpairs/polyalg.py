@@ -111,8 +111,8 @@ class RationalPoly:
     """Multivariate polynomial with exact rational coefficients.
 
     Stored as int numerators over one common denominator, keyed by packed
-    exponents (see the module docstring); ``items`` and ``coefficient``
-    present them as exponent tuples and :class:`Fraction` values.
+    exponents (see the module docstring); ``items`` presents them as
+    exponent tuples and :class:`Fraction` values.
     Instances are immutable values; all arithmetic is exact.
     """
 
@@ -178,21 +178,8 @@ class RationalPoly:
         nvars, den = self.nvars, self._den
         return [(_unpack(key, nvars), Fraction(c, den)) for key, c in self._terms.items()]
 
-    def coefficient(self, index: Index) -> Fraction:
-        try:
-            key = _pack(index, self.nvars)
-        except ValueError:
-            return Fraction(0)
-        return Fraction(self._terms.get(key, 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self._terms:
-            return -1
-        return max(sum(_unpack(key, self.nvars)) for key in self._terms)
 
     # -- ring operations -------------------------------------------------
 

@@ -7,10 +7,11 @@ Three layers:
 * :func:`numeric_suite` — floating-point identities that hold bitwise (pure
   node permutations, identical-sum comparisons) or to machine precision
   (scale-normalized residuals); nothing in this suite carries discretization
-  error, so any tolerance override down to ~1e-6 still passes.
+  error.
 * :func:`convergence_study` plus the filament studies — residuals carrying
   real discretization error, summarized by the observed order (minus the
-  least-squares slope of log residual against log resolution).
+  least-squares slope of log residual against log resolution), which must
+  reach :data:`ORDER_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .symplectic import Observable, flow
 
 __all__ = [
     "CONVERGENCE_OPS",
+    "ORDER_THRESHOLD",
     "CheckRow",
     "convergence_study",
     "exact_suite",
@@ -88,13 +90,17 @@ __all__ = [
 
 CONVERGENCE_OPS = ("orthogonality", "equivariance", "transport", "derivative")
 
+# The observed order every convergence and filament study must reach: the
+# schemes are second order.
+ORDER_THRESHOLD = 1.9
+
 
 @dataclass(frozen=True)
 class CheckRow:
     """One verification result.
 
     For plain identity rows, ``passed`` means ``residual <= tolerance``.
-    For convergence rows, ``tolerance`` holds the order threshold,
+    For convergence rows, ``tolerance`` holds :data:`ORDER_THRESHOLD`,
     ``observed_order`` the fitted order, and ``passed`` compares those.
     """
 
@@ -210,12 +216,10 @@ def _study_filament(nodes: int, kernel: KernelSpec | None = None) -> FilamentSta
     return FilamentState(q, p, kernel, nonvanishing=True)
 
 
-def numeric_suite(seed: int = 7, n: int = 16, tol: float | None = None) -> list[CheckRow]:
+def numeric_suite(seed: int = 7, n: int = 16) -> list[CheckRow]:
     """Floating-point identity rows on one grid (default 16 x 16).
 
-    ``tol`` replaces every row's own tolerance when given (the CLI's
-    ``--tol``); with the defaults, rows are either bitwise-exact or
-    scale-normalized machine-precision checks.
+    Rows are either bitwise-exact or scale-normalized machine-precision checks.
     """
     rng = np.random.default_rng(seed)
     src = GridSource(n)
@@ -340,12 +344,6 @@ def numeric_suite(seed: int = 7, n: int = 16, tol: float | None = None) -> list[
     path = flow(_oscillator(), [1.0, 0.0], FlowSpec("implicit-midpoint", 1e-3, 6283))
     target = np.array([math.cos(t_final), -math.sin(t_final)])
     rows.append(_row("oscillator-endpoint", np.max(np.abs(path[-1] - target)), 1e-5))
-
-    if tol is not None:
-        rows = [
-            CheckRow(r.test_id, r.n, r.residual, tol, r.residual <= tol, r.observed_order)
-            for r in rows
-        ]
     return rows
 
 
@@ -377,9 +375,13 @@ def _study_observable(seed: int) -> Observable:
     return poly.observable()
 
 
-def convergence_study(
-    op: str, grids=(8, 16, 32), seed: int = 7, threshold: float = 1.9
-) -> list[CheckRow]:
+def _order_rows(test_id: str, ns, residuals, order: float) -> list[CheckRow]:
+    """One row per resolution, each carrying the common fitted order and its gate."""
+    passed = order >= ORDER_THRESHOLD
+    return [CheckRow(test_id, n, float(r), ORDER_THRESHOLD, passed, order) for n, r in zip(ns, residuals)]
+
+
+def convergence_study(op: str, grids=(8, 16, 32), seed: int = 7) -> list[CheckRow]:
     """Grid-refinement study of one discretization residual.
 
     ``op`` is one of ``orthogonality`` (weighted pairing of the two
@@ -436,17 +438,10 @@ def convergence_study(
             sq += r * r
         residuals.append(math.sqrt(sq / reps))
 
-    order = observed_order(grids, residuals)
-    passed = order >= threshold
-    return [
-        CheckRow(op, n, float(r), threshold, passed, order)
-        for n, r in zip(grids, residuals)
-    ]
+    return _order_rows(op, grids, residuals, observed_order(grids, residuals))
 
 
-def filament_dt_study(
-    dts=(0.2, 0.1, 0.05), nodes: int = 64, t_final: float = 1.0, threshold: float = 1.9
-) -> list[CheckRow]:
+def filament_dt_study(dts=(0.2, 0.1, 0.05), nodes: int = 64, t_final: float = 1.0) -> list[CheckRow]:
     """Order, in the time step, of the step-induced part of the current drift.
 
     At fixed chain resolution the raw drift saturates at the O(A^-2)
@@ -467,27 +462,16 @@ def filament_dt_study(
         traj = integrate(st, FlowSpec("implicit-midpoint", dt, round(t_final / dt)))
         m_end = traj.filament_currents()[-1]
         excesses.append(float(np.max(np.abs(m_end - m_ref))) / scale)
+    steps = [round(t_final / dt) for dt in dts]
     # Order in dt: slope of log excess against log dt (refinement shrinks dt).
-    order = -observed_order(dts, excesses)
-    passed = order >= threshold
-    return [
-        CheckRow("filament-dt", round(t_final / dt), d, threshold, passed, order)
-        for dt, d in zip(dts, excesses)
-    ]
+    return _order_rows("filament-dt", steps, excesses, -observed_order(dts, excesses))
 
 
-def filament_resolution_study(
-    node_counts=(16, 32, 64), dt: float = 1e-3, t_final: float = 0.5, threshold: float = 1.9
-) -> list[CheckRow]:
+def filament_resolution_study(node_counts=(16, 32, 64), dt: float = 1e-3, t_final: float = 0.5) -> list[CheckRow]:
     """Order of the chain-current drift in the chain resolution, at small dt."""
     drifts = []
     for nodes in node_counts:
         st = _study_filament(nodes)
         traj = integrate(st, FlowSpec("implicit-midpoint", dt, round(t_final / dt)))
         drifts.append(float(np.max(traj.jr_drifts())))
-    order = observed_order(node_counts, drifts)
-    passed = order >= threshold
-    return [
-        CheckRow("filament-resolution", nodes, d, threshold, passed, order)
-        for nodes, d in zip(node_counts, drifts)
-    ]
+    return _order_rows("filament-resolution", node_counts, drifts, observed_order(node_counts, drifts))

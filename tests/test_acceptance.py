@@ -34,6 +34,41 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+# The numeric suite's gates: 0 for the bitwise identities, else a
+# scale-normalized machine-precision bound (or a time-stepping bound for the
+# peakon and oscillator rows).  Loosening one fails this table.
+NUMERIC_TOLERANCES = {
+    "omega-pairing-antisymmetry": 0.0,
+    "omega-pairing-self": 0.0,
+    "pushforward-invariance": 0.0,
+    "momentum-equivariance": 0.0,
+    "action-commutation": 0.0,
+    "linear-symplectic-invariance": 1e-13,
+    "pullback-telescoping": 1e-14,
+    "momentum-gauge-shift": 1e-14,
+    "orthogonality-constant-potential": 0.0,
+    "orthogonality-constant-observable": 0.0,
+    "equivariance-same-potential": 0.0,
+    "momentum-pairing-consistency": 1e-14,
+    "symplectic-pairing-consistency": 1e-14,
+    "momentum-bracket-homomorphism": 1e-12,
+    "transport-zero-covector": 0.0,
+    "peakon-transport": 1e-10,
+    "peakon-momentum-drift": 1e-12,
+    "reparametrization-invariance": 0.0,
+    "current-equivariance": 0.0,
+    "oscillator-endpoint": 1e-5,
+}
+
+
+def test_gates_hold_their_values():
+    rows = verify.numeric_suite(7, 16)
+    assert [(r.test_id, r.tolerance) for r in rows] == list(NUMERIC_TOLERANCES.items())
+    assert verify.ORDER_THRESHOLD == 1.9
+    study = verify.convergence_study("transport", grids=(8, 16), seed=7)
+    assert {r.tolerance for r in study} == {1.9}
+
+
 def test_criterion_1_exact_algebra_suite():
     t0 = time.perf_counter()
     rows = verify.exact_suite(seed=7, count=100)
@@ -67,7 +102,7 @@ def test_criterion_3_convergence_orders():
     t0 = time.perf_counter()
     orders = {}
     for op in verify.CONVERGENCE_OPS:
-        study = verify.convergence_study(op, grids=(8, 16, 32), seed=7, threshold=1.9)
+        study = verify.convergence_study(op, grids=(8, 16, 32), seed=7)
         assert all(r.passed for r in study), f"{op}: {study[-1]}"
         orders[op] = study[-1].observed_order
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from dualpairs import cli, fields, peakons
+from dualpairs import cli, fields, peakons, verify
 from dualpairs.fields import GridSource, StreamFunction, right_momentum_pair
 
 
@@ -38,18 +38,6 @@ def test_verify_full_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--count", "20")
     assert code == 0
     assert out.strip().splitlines()[-1] == "26/26 checks passed"
-
-
-def test_verify_accepts_tolerance_override(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "numeric", "--tol", "1e-6", "--grid", "8")
-    assert code == 0
-    assert "20/20 checks passed" in out
-
-
-def test_verify_reports_invariant_failure(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "numeric", "--tol", "1e-300")
-    assert code == 1
-    assert "FAIL" in out
 
 
 @pytest.mark.parametrize("seed", [52, 83])
@@ -151,11 +139,9 @@ def test_converge_refuses_grids_under_4(capsys, tmp_path, grids):
     assert not path.exists()
 
 
-def test_converge_unreachable_threshold_fails(capsys, tmp_path):
-    code, _, _ = run(
-        capsys, "converge", "--op", "equivariance", "--threshold", "5.0",
-        "--out", str(tmp_path / "x.csv"),
-    )
+def test_converge_unreachable_threshold_fails(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "ORDER_THRESHOLD", 5.0)
+    code, _, _ = run(capsys, "converge", "--op", "equivariance", "--out", str(tmp_path / "x.csv"))
     assert code == 1
 
 
@@ -192,7 +178,7 @@ def test_peakon_filament_run_schema(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "filament, key, value", [(True, "n", "5"), (True, "dim", "3"), (False, "nodes", "64"), (False, "radius", "2")]
+    "filament, key, value", [(True, "n", "5"), (True, "dim", "3"), (False, "nodes", "64")]
 )
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
 def test_peakon_refuses_an_option_of_the_other_mode(capsys, tmp_path, filament, key, value, by_config):
@@ -280,6 +266,20 @@ def test_peakon_runs_at_an_alpha_whose_square_is_subnormal(capsys, tmp_path):
     assert code == 0
     assert "steps=5000" in out
     assert len(read_rows(path)) == 5002
+
+
+@pytest.mark.parametrize(
+    "argv", [["--dim", "2", "--alpha", "1e200"], ["--filament", "--alpha", "1e160"], ["--alpha", "1e200"]],
+    ids=["gaussian-points", "filament", "exp1d"],
+)
+def test_peakon_alpha_whose_square_overflows_is_a_usage_error(capsys, tmp_path, argv):
+    # both kernels divide by 2 alpha^2, which is inf at these alphas
+    path = tmp_path / "huge.csv"
+    code, out, err = run(capsys, "peakon", *argv, "--t-final", "0.01", "--dt", "0.01", "--out", str(path))
+    assert code == 2
+    assert f"alpha = {float(argv[-1])!r}" in err and "overflows" in err
+    assert out == ""
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [["--filament", "--nodes", "11"], ["--n", "11", "--dim", "2"]])
@@ -664,6 +664,32 @@ def test_help_exits_0_and_lists_each_table_option(capsys, command):
     assert exited.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert flags - {"--help", "--config"} == {"--" + key.replace("_", "-") for key in cli._OPTIONS[command]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--tol", "1e300"),
+        ("converge", "--threshold", "0.1"),
+        ("peakon", "--kernel", "gaussian"),
+        ("peakon", "--filament", "--radius", "2"),
+    ],
+    ids=["verify-tol", "converge-threshold", "peakon-kernel", "peakon-radius"],
+)
+def test_no_gate_or_fixed_setting_can_be_overridden(capsys, tmp_path, argv):
+    # gates and the peakon kernel and radius are fixed: neither a flag nor a config key sets them
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    path = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*argv, "--out", str(path)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag.removeprefix('--')} = {value}\n")
+    code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(path))
+    assert code == 2
+    assert f"unknown config keys for {command}: ['{flag.removeprefix('--')}']" in err
+    assert not path.exists()
 
 
 # -- grid budget ------------------------------------------------------------------

@@ -388,6 +388,22 @@ def test_non_integer_shift_rejected():
         GridSymmetry(shift=(0.5, 0))
 
 
+@pytest.mark.parametrize(
+    "shift, turns",
+    [((1, 2), 1.5), ((1, 2), True), ((1, 2), 1.0), ((1.0, 2), 0), ((1, False), 0), ((1, np.float64(2.0)), 0)],
+)
+def test_grid_symmetry_refuses_floats_and_bools(shift, turns):
+    # a float or a bool is refused even where it equals an integer, so 1.5 never becomes one turn
+    with pytest.raises(ValueError, match="must be an integer|must be integers"):
+        GridSymmetry(shift, turns)
+
+
+def test_grid_symmetry_takes_numpy_integers():
+    psi = GridSymmetry((np.int64(3), 7), np.int32(5))
+    assert psi == GridSymmetry((3, 7), 1)
+    assert all(type(s) is int for s in psi.shift) and type(psi.quarter_turns) is int
+
+
 # -- serialization ---------------------------------------------------------------
 
 

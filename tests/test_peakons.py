@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,15 +16,25 @@ from dualpairs.peakons import (
     _canonical_point,
     _collective_observable,
     _pair_terms,
+    _weighted_totals,
     collective_hamiltonian,
     filament_current,
     integrate,
     pair_with_field,
     reparametrize,
-    rhs,
-    total_momentum,
     write_trajectory_csv,
 )
+
+
+def rates(st):
+    """(Qdot, Pdot) from the gradient the steppers use, in the canonical variables (Q, P w).
+
+    ``Qdot = dH/d(P w)`` and ``Pdot = -dH/dQ / w``, so that P stays a density
+    per unit of the reference measure.
+    """
+    a, d = st.count, st.dim
+    grad = _collective_observable(st).gradient(_canonical_point(st))
+    return grad[a * d :].reshape(a, d), -grad[: a * d].reshape(a, d) / st.weights[:, None]
 
 
 def circle_filament(nodes=24, radius=1.0, alpha=0.8, tangential=0.5):
@@ -41,14 +52,14 @@ def test_exp1d_golden_values():
     k = KernelSpec("exp1d", 2.0)
     one = SingularState(np.array([[0.0]]), np.array([[3.0]]), k)
     assert collective_hamiltonian(one) == 9.0 / 8.0
-    dq, dp = rhs(one)
+    dq, dp = rates(one)
     assert dq[0, 0] == 0.75
     # the symmetric peakon convention: zero slope at the crest, so no self-force
     assert dp[0, 0] == 0.0
     # two points |x| = alpha log 4 apart: G = e^{-log 4} / (2 alpha) = 1/16
     two = SingularState(np.array([[0.0], [2.0 * math.log(4.0)]]), np.array([[1.0], [2.0]]), k)
     assert collective_hamiltonian(two) == pytest.approx((1.0 + 4.0) / 8.0 + 2.0 / 16.0, rel=1e-15)
-    dq, _ = rhs(two)
+    dq, _ = rates(two)
     assert dq[0, 0] == pytest.approx(1.0 / 4.0 + 2.0 / 16.0, rel=1e-15)
 
 
@@ -62,14 +73,14 @@ def test_gaussian_golden_values():
     # five coincident points: G(0) = 1 and grad G(0) = 0
     p = np.random.default_rng(1).normal(size=(5, 3))
     st = SingularState(np.zeros((5, 3)), p, k)
-    dq, dp = rhs(st)
+    dq, dp = rates(st)
     assert np.array_equal(dp, np.zeros((5, 3)))
     assert np.abs(dq - p.sum(axis=0)).max() <= 1e-15 * np.abs(p).sum()
     # two unit covectors |x| = alpha = 2 apart: G = e^{-1/2}
     e1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     two = SingularState(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), e1, k)
     assert collective_hamiltonian(two) == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
-    dq, dp = rhs(two)
+    dq, dp = rates(two)
     assert dq[0, 0] == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
     # -grad G at x_0 - x_1 = (-2, 0, 0) is -(2 / alpha^2) e^{-1/2} along e1
     assert dp[0, 0] == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-15)
@@ -88,6 +99,15 @@ def test_kernel_length_scale_whose_square_underflows_is_refused(family):
     with pytest.raises(ValueError, match="alpha = 1e-200"):
         KernelSpec(family, 1e-200)
     assert KernelSpec(family, 1e-160).alpha == 1e-160
+
+
+@pytest.mark.parametrize("family", ["exp1d", "gaussian"])
+def test_kernel_length_scale_whose_square_overflows_is_refused(family):
+    # 2 alpha^2 is inf at these alphas, where the gaussian's alpha**2 would raise OverflowError
+    for alpha in (1e160, 1e200):
+        with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha} is too large")):
+            KernelSpec(family, alpha)
+    assert KernelSpec(family, 1e153).alpha == 1e153
 
 
 # -- states ----------------------------------------------------------------------
@@ -142,7 +162,7 @@ def test_single_peakon_golden_numbers():
     st = SingularState(np.array([[0.0]]), np.array([[2.0]]), KernelSpec("exp1d", 1.0))
     # H = p^2 G(0) / 2 = 4 * 0.5 / 2
     assert collective_hamiltonian(st) == 1.0
-    dq, dp = rhs(st)
+    dq, dp = rates(st)
     assert dq[0, 0] == 1.0  # q-dot = p G(0)
     assert dp[0, 0] == 0.0  # symmetric kernel: no self-force
 
@@ -194,7 +214,7 @@ def test_diagnostics_match_per_state_values_bitwise():
     for i in range(len(traj)):
         state = FilamentState(traj.q[i], traj.p[i], st.kernel)
         assert collective_hamiltonian(state) == h[i]
-        assert np.array_equal(total_momentum(state), ptot[i])
+        assert np.array_equal(_weighted_totals(state.p, state.weights), ptot[i])
 
 
 # -- the fused collective gradient against the einsum formulation -----------------
@@ -305,7 +325,7 @@ def test_exp1d_scan_ties_keep_the_flat_crest_convention():
     st = SingularState(q, p, k)
     _assert_matches_dense(st)
     # tied points share one field value: they move together
-    dq, _ = rhs(st)
+    dq, _ = rates(st)
     assert dq[0, 0] == dq[2, 0] == dq[4, 0] and dq[1, 0] == dq[5, 0]
 
 
@@ -413,7 +433,7 @@ def test_exp1d_scan_at_a_hundred_thousand_points():
 def test_exp1d_coincident_points_feel_no_mutual_force():
     k = KernelSpec("exp1d", 1.0)
     st = SingularState(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), k)
-    dq, dp = rhs(st)
+    dq, dp = rates(st)
     assert np.array_equal(dp, np.zeros((2, 1)))
     assert np.array_equal(dq, np.full((2, 1), 1.5))
 
@@ -437,7 +457,7 @@ def test_hamiltonians_half_sum_equals_full_matrix_fsum(dim, count, rows):
 def test_hamiltonian_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.3))  # weight 1/5
-    dq, dp = rhs(st)
+    dq, dp = rates(st)
     eps = 1e-6
 
     def h_of(q, p):
@@ -463,7 +483,7 @@ def test_pair_with_constant_field_is_total_momentum():
     rng = np.random.default_rng(13)
     st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.0))  # weight 1/5
     value = pair_with_field(st, np.array([1.0, 0.0]))
-    assert value == total_momentum(st)[0]
+    assert value == _weighted_totals(st.p, st.weights)[0]
 
 
 def test_pair_with_zero_covector_vanishes():

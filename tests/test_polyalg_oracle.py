@@ -298,9 +298,6 @@ def test_results_equal_the_fraction_oracle_in_order(abm):
     for m in (point, (0,) * nvars):
         assert a.evaluate(m) == oracle_evaluate(a_list, m)
         assert (a * b).evaluate(m) == oracle_evaluate(oracle_mul(a_list, b_list), m)
-    for ix, c in a_list:
-        assert a.coefficient(ix) == c
-    assert a.degree() == max((sum(ix) for ix, _ in a_list), default=-1)
 
 
 def test_canonical_form_across_denominators():
@@ -340,8 +337,8 @@ def test_evaluate_at_a_point_with_mixed_denominators():
 def test_overflow_guard_raises_instead_of_carrying():
     x, y = RationalPoly.variable(0, 2), RationalPoly.variable(1, 2)
     top = RationalPoly(2, {(MAX_EXPONENT, 0): Fraction(1)})
-    assert top.degree() == MAX_EXPONENT
-    assert (top * y).coefficient((MAX_EXPONENT, 1)) == 1
+    assert_matches(top, [((MAX_EXPONENT, 0), Fraction(1))])
+    assert_matches(top * y, [((MAX_EXPONENT, 1), Fraction(1))])
     with pytest.raises(OverflowError):
         top * x
     with pytest.raises(OverflowError):
@@ -356,8 +353,8 @@ def test_overflow_guard_raises_instead_of_carrying():
 
 
 def test_validating_constructor_rejects_bad_input():
-    assert RationalPoly(4, {(0, MAX_EXPONENT, 0, 1): Fraction(1)}).degree() == MAX_EXPONENT + 1
-    assert RationalPoly(2, {(1, 0): 1}).coefficient((MAX_EXPONENT + 1, 0)) == 0
+    top = (0, MAX_EXPONENT, 0, 1)
+    assert_matches(RationalPoly(4, {top: Fraction(1)}), [(top, Fraction(1))])
     for past_a_field in ((0, MAX_EXPONENT + 1, 0, 0), (2**16, 0, 0, 0)):
         with pytest.raises(ValueError):
             RationalPoly(4, {past_a_field: Fraction(1)})
