@@ -52,7 +52,6 @@ from .fields import (
 )
 from .peakons import (
     FilamentState,
-    KernelSpec,
     SingularState,
     Trajectory,
     collective_hamiltonian,

@@ -14,9 +14,10 @@ digits; CSV files are RFC-4180 with a header row, so identical seed and
 configuration reproduce identical bytes.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 usage or
-configuration error, 3 I/O failure, 4 numeric divergence (the failing step
-index goes to stderr), 5 internal error (any other exception; the traceback
-goes to stderr).
+configuration error (argparse's included: ``main`` returns it, and only
+``--help`` raises ``SystemExit``), 3 I/O failure, 4 numeric divergence (the
+failing step index goes to stderr), 5 internal error (any other exception;
+the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from .fields import (
     format_float,
     nodewise_linear,
 )
-from .peakons import (
-    FilamentState,
-    KernelSpec,
-    SingularState,
-    integrate,
-    write_trajectory_csv,
-)
+from .peakons import FilamentState, SingularState, integrate, write_trajectory_csv
 from .symplectic import METHODS, FlowSpec, Observable, _states
 
 __all__ = ["main"]
@@ -250,16 +245,17 @@ def _require_grid_budget(grid: int) -> None:
     )
 
 
-def _require_pair_budget(count: int, kernel: KernelSpec) -> None:
-    """One evaluation touches A^2 pairs with the gaussian kernel and A with the exp1d scan."""
-    if kernel.family == "exp1d":
-        pairs, most = count, peakons.MAX_PAIRS
-    else:
-        pairs, most = count * count, math.isqrt(peakons.MAX_PAIRS)
+def _require_pair_budget(count: int, dim: int) -> None:
+    """A run on the line holds Python lists of A floats; a gaussian field evaluation, d + 2 arrays of A^2 entries."""
+    if dim == 1:
+        most = peakons.MAX_LINE_POINTS
+        _require(count <= most, f"{count} points on the line are over the limit of {most} (peakons.MAX_LINE_POINTS)")
+        return
+    entries, most = (dim + 2) * count * count, 4 * peakons.MAX_PAIRS
     _require(
-        pairs <= peakons.MAX_PAIRS,
-        f"{count} points need {pairs} kernel pairs with the {kernel.family} kernel, over the "
-        f"limit of {peakons.MAX_PAIRS} (peakons.MAX_PAIRS, at most {most} points)",
+        entries <= most,
+        f"{count} points in {dim} dimensions need (d + 2)·A² = {entries} kernel entries, over the "
+        f"limit of {most} (4·peakons.MAX_PAIRS, at most {math.isqrt(most // (dim + 2))} points)",
     )
 
 
@@ -284,18 +280,13 @@ _PEAKON_MODES = {"point": {"n": 1, "dim": 1}, "filament": {"nodes": 32}}
 
 
 def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
-    """The initial state and the flow request; both budgets are checked before any array is built."""
+    """The initial state and the flow request; both budgets are checked before any array is built, alpha after."""
     mode, other = ("filament", "point") if opt["filament"] else ("point", "filament")
     for key in _PEAKON_MODES[other]:
         _require(opt[key] is None, f"{key} is an option of {other} runs, not of {mode} runs")
     opt = {**opt, **{key: default for key, default in _PEAKON_MODES[mode].items() if opt[key] is None}}
-    if opt["filament"]:
-        count, dim, family = opt["nodes"], 2, "gaussian"
-    else:
-        count, dim = opt["n"], opt["dim"]
-        family = "exp1d" if dim == 1 else "gaussian"
-    kernel = KernelSpec(family, opt["alpha"])
-    _require_pair_budget(count, kernel)
+    count, dim = (opt["nodes"], 2) if opt["filament"] else (opt["n"], opt["dim"])
+    _require_pair_budget(count, dim)
     spec = FlowSpec(opt["method"], opt["dt"], _require_trajectory_budget(opt, count, dim))
     if opt["filament"]:
         s = np.arange(count) / count
@@ -303,13 +294,13 @@ def _build_peakon_run(opt: dict) -> tuple[SingularState, FlowSpec]:
         q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         tangent = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
         p = opt["p"] * tangent
-        return FilamentState(q, p, kernel), spec
+        return FilamentState(q, p, opt["alpha"]), spec
     q = np.zeros((count, dim))
     p = np.zeros((count, dim))
     for a in range(count):
         q[a, 0] = 2.0 * opt["alpha"] * (a - (count - 1) / 2.0)
         p[a, 0] = opt["p"] * 2.0**-a
-    return SingularState(q, p, kernel), spec
+    return SingularState(q, p, opt["alpha"]), spec
 
 
 def _cmd_peakon(opt: dict) -> int:
@@ -377,7 +368,8 @@ def _advected(f: MapField, flow: str, dt: float, steps: int):
         c, s = math.cos(dt), math.sin(dt)
         matrix = np.array([[c, s], [-s, c]])
     for _ in range(steps):
-        f = nodewise_linear(f, matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing map is its pairing's divergence
+            f = nodewise_linear(f, matrix)
         yield f
 
 
@@ -437,8 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage error; only --help's exit 0 propagates
+        if exc.code in (0, None):
+            raise
+        return EXIT_USAGE
     try:
         opt = _resolve(args, args.command)
         return _RUNNERS[args.command](opt)

@@ -2,13 +2,18 @@
 
 A singular state is a finite support set: positions ``Q``, covector
 densities ``P`` and the weights ``w`` of its measure, fixed by its kind (1
-per point, ``1/A`` per node of an A-node filament), together with a kernel
-(the Green's function of the inertia operator).  The collective Hamiltonian
+per point, ``1/A`` per node of an A-node filament), together with the
+length scale ``alpha`` of the kernel ``G`` (the Green's function of the
+inertia operator).  The collective Hamiltonian
 
     H = 1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b
 
-drives the canonical N-body equations; in one dimension with the
-exponential kernel these are the peakon equations.  A filament state
+drives the canonical N-body equations.  The dimension of the positions
+fixes the kernel: on the line it is ``G(x) = exp(-|x| / alpha) / (2 alpha)``,
+the Green's function of ``1 - alpha^2 d^2/dx^2`` with the symmetric
+convention ``G'(0) = 0``, and these are the peakon equations; in two or
+more dimensions it is ``G(x) = exp(-|x|^2 / (2 alpha^2))`` (the exact
+planar Green's function is singular at the origin).  A filament state
 additionally orders its support points on a closed chain, which makes the
 current ``m = <P, d_s Q>`` meaningful as a discrete momentum density on the
 chain and exact reparametrization (chain rotation) available as a group
@@ -16,12 +21,12 @@ action.
 
 Time stepping reuses the canonical integrators: in the rescaled variables
 ``(Q, P w)`` the equations are canonical with this Hamiltonian, so the
-implicit midpoint rule is symplectic for them.  An exp1d field is made of
-Python floats, so its implicit-midpoint steps run on Python floats too,
-with the NumPy driver's arithmetic.
+implicit midpoint rule is symplectic for them.  A one-dimensional field is
+made of Python floats, so its implicit-midpoint steps run on Python floats
+too, with the NumPy driver's arithmetic.
 
-With the exp1d kernel every pair sum is one sorted scan, O(A log A) per
-state instead of O(A^2): after sorting the positions, the sums of
+On the line every pair sum is one sorted scan, O(A log A) per state
+instead of O(A^2): after sorting the positions, the sums of
 ``pt_b e^{-|x_a - x_b| / alpha}`` over the points strictly left of each
 point follow a first-order recurrence whose factors are all at most 1, the
 strictly-right sums mirror it, and tied positions share their group total.
@@ -41,7 +46,6 @@ from .symplectic import FlowSpec, Observable, flow
 
 __all__ = [
     "FilamentState",
-    "KernelSpec",
     "SingularState",
     "Trajectory",
     "collective_hamiltonian",
@@ -52,27 +56,37 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-KERNEL_FAMILIES = ("exp1d", "gaussian")
+def _differences(q: np.ndarray) -> np.ndarray:
+    """Displacements ``Q_a - Q_b`` of (..., A, d) positions, one component per slice: (d, ..., A, A)."""
+    c = np.ascontiguousarray(q.transpose(-1, *range(q.ndim - 1)))
+    return c[..., :, None] - c[..., None, :]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family and length scale.
+def _kernel(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gaussian ``G`` and slopes ``u`` with ``d_i G = u[i] G`` at displacements ``x`` of shape (d, ...).
 
-    ``exp1d`` is ``G(x) = exp(-|x| / alpha) / (2 alpha)``, the Green's
-    function of ``1 - alpha^2 d^2/dx^2`` on the line; it is only valid in
-    one dimension and uses the symmetric convention ``G'(0) = 0``.
-    ``gaussian`` is ``G(x) = exp(-|x|^2 / (2 alpha^2))`` in any dimension
-    (the exact planar Green's function is singular at the origin, so smooth
-    kernels are the default beyond d = 1).
+    One ``exp`` per displacement.  The slopes overwrite ``x``, which must be
+    an array the caller owns.  One-dimensional states never come here: their
+    fields and H column are sorted scans (``_exp1d_scan``, ``_exp1d_rows``).
+    """
+    r2 = np.einsum("i...,i...->...", x, x)
+    g = np.exp(np.divide(r2, -2.0 * alpha**2, out=r2), out=r2)
+    return g, np.divide(x, -alpha**2, out=x)
+
+
+@dataclass(frozen=True, eq=False)
+class SingularState:
+    """Positions, covector densities and kernel length scale of a singular solution.
+
+    The dimension picks the kernel; ``weights`` (1 per point) is derived, not input.
     """
 
-    family: str = "exp1d"
-    alpha: float = 1.0
+    q: np.ndarray
+    p: np.ndarray
+    alpha: float
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
         if not (float(self.alpha) > 0.0):
             raise ValueError(f"kernel length scale must be positive, got {self.alpha}")
         # both kernels divide by 2 alpha^2, which must be a positive finite double
@@ -80,46 +94,10 @@ class KernelSpec:
         if not 0.0 < scale2 < math.inf:
             side = "too small: 2·alpha² underflows to 0" if scale2 == 0.0 else "too large: 2·alpha² overflows"
             raise ValueError(f"kernel length scale alpha = {self.alpha} is {side}")
-
-
-def _check_kernel_dim(k: KernelSpec, d: int) -> None:
-    if k.family == "exp1d" and d != 1:
-        raise ValueError(f"the exp1d kernel is one-dimensional, got points with d = {d}")
-
-
-def _differences(q: np.ndarray) -> np.ndarray:
-    """Displacements ``Q_a - Q_b`` of (..., A, d) positions, one component per slice: (d, ..., A, A)."""
-    c = np.ascontiguousarray(q.transpose(-1, *range(q.ndim - 1)))
-    return c[..., :, None] - c[..., None, :]
-
-
-def _kernel(k: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gaussian ``G`` and slopes ``u`` with ``d_i G = u[i] G`` at displacements ``x`` of shape (d, ...).
-
-    One ``exp`` per displacement.  The slopes overwrite ``x``, which must be
-    an array the caller owns.  exp1d states never come here: their fields
-    and H column are sorted scans (``_exp1d_scan``, ``_exp1d_rows``).
-    """
-    r2 = np.einsum("i...,i...->...", x, x)
-    g = np.exp(np.divide(r2, -2.0 * k.alpha**2, out=r2), out=r2)
-    return g, np.divide(x, -k.alpha**2, out=x)
-
-
-@dataclass(frozen=True, eq=False)
-class SingularState:
-    """Positions and covector densities of a singular solution; ``weights`` (1 per point) is derived, not input."""
-
-    q: np.ndarray
-    p: np.ndarray
-    kernel: KernelSpec
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
         q = _frozen(np.atleast_2d(self.q))
         if q.ndim != 2 or q.shape[0] < 1:
             raise ValueError(f"positions must form an (A, d) array, got shape {q.shape}")
         p = _frozen(np.atleast_2d(self.p), q.shape, "covector")
-        _check_kernel_dim(self.kernel, q.shape[1])
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "weights", self._default_weights(q.shape[0]))
@@ -144,7 +122,9 @@ class FilamentState(SingularState):
     """A singular state whose points are ordered on a closed chain.
 
     The chain is ``s in {0 .. A-1} / A`` with spacing ``1/A``; each node
-    weighs ``1/A``, the chain measure.  Positions must be pairwise
+    weighs ``1/A``, the chain measure.  As for points, ``alpha`` is the only
+    kernel input: a planar filament takes the gaussian, a filament on the
+    line exp1d.  Positions must be pairwise
     distinct (a finite surrogate for the embedding condition).  With
     ``nonvanishing=True``, covectors are also required to be nonzero at
     every node.
@@ -177,36 +157,45 @@ _BLOCK_PAIRS = 1 << 16
 # their memory does not grow with the number of steps.
 _BLOCK_POINTS = 1 << 11
 
-# The most kernel pairs a peakon run may ask for: A^2 with the gaussian
-# kernel (A = 4096) and A with exp1d, whose scan touches each point a
-# constant number of times.  A gaussian field evaluation holds d + 2 float
-# arrays of A^2 entries, about 0.5 GB at this bound in two dimensions; the
-# CLI refuses larger runs before building them.
+# The gaussian budget: a field evaluation holds d + 2 float arrays of A^2
+# entries (the (d, A, A) displacements, G and the pair products), and the CLI
+# refuses a run with (d + 2) A^2 > 4 * MAX_PAIRS before building it: 0.5 GB,
+# and A = 4096 in two dimensions.
 MAX_PAIRS = 1 << 24
 
-# The most values a trajectory may hold, (steps + 1) * 2 A d doubles (0.5 GB),
-# so one step at MAX_PAIRS exp1d points fits.  The whole path is kept in
-# memory; the CLI refuses longer runs before building any array.
+# The most points of a run on the line, whose scans and float steps hold
+# Python lists of A floats, about 1 KB per point.  With the most steps the
+# trajectory budget then allows (127), such a run peaks at 0.83 GB of RSS,
+# and at 2^19 points (63 steps) at 1.12 GB (Python 3.11, NumPy 2.4, x86-64).
+MAX_LINE_POINTS = 1 << 18
+
+# The most values a trajectory may hold, (steps + 1) * 2 A d doubles (0.5 GB).
+# The whole path is kept in memory; the CLI refuses longer runs before
+# building any array.
 MAX_TRAJECTORY_VALUES = 1 << 26
 
 
-def _pair_terms(k: KernelSpec, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
+def _pair_terms(alpha: float, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
     """``(pt_a . pt_b) G(Q_a - Q_b)`` over any leading axes, with ``pt = P w``; H is half their sum."""
-    terms = _kernel(k, _differences(q))[0]
+    terms = _kernel(alpha, _differences(q))[0]
     # einsum sums each entry's own products (no BLAS), so the terms are bitwise symmetric
     terms *= np.einsum("...ai,...bi->...ab", pt, pt)
     return terms
 
 
 def _weighted_totals(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_a P_a w_a`` over the support axis of (..., A, d) covectors, one fsum per entry."""
-    terms = np.moveaxis(p * w[:, None], -2, -1)
-    rows = terms.reshape(-1, terms.shape[-1])
-    sums = np.empty(len(rows))
-    step = max(1, _BLOCK_POINTS // rows.shape[1])
-    for start in range(0, len(rows), step):
-        sums[start : start + step] = [math.fsum(row) for row in rows[start : start + step].tolist()]
-    return sums.reshape(terms.shape[:-1])
+    """``sum_a P_a w_a`` over the support axis of (..., A, d) covectors, one fsum per entry.
+
+    The products are formed one block of states at a time, never for the whole stack.
+    """
+    a, d = p.shape[-2:]
+    states = p.reshape(-1, a, d)
+    sums = np.empty((len(states), d))
+    step = max(1, _BLOCK_POINTS // (a * d))
+    for start in range(0, len(states), step):
+        block = np.swapaxes(states[start : start + step] * w[:, None], 1, 2).tolist()
+        sums[start : start + step] = [[math.fsum(entry) for entry in state] for state in block]
+    return sums.reshape(p.shape[:-2] + (d,))
 
 
 def _exp1d_scan(x: list, pt: list, alpha: float) -> list:
@@ -306,31 +295,32 @@ def _half_fsum(terms, fsum=math.fsum) -> float:
         return math.nan
 
 
-def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _hamiltonians(alpha: float, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """H at each state of a (T, A, d) stack of positions and covectors with weights ``w``.
 
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
-    it, in blocks of rows.  exp1d: ``1/2 sum_a pt_a dH/dpt_a`` after one row
-    scan per block.  gaussian: pair terms; they are bitwise symmetric, so
-    the exactly rounded sum (``fields._fsum_blocks``) of two blocks, the doubled
-    strict upper triangle and the diagonal, is exactly the full-matrix one.
+    it, in blocks of rows.  On the line: ``1/2 sum_a pt_a dH/dpt_a`` after
+    one row scan per block.  Otherwise gaussian pair terms; they are bitwise
+    symmetric, so the exactly rounded sum (``fields._fsum_blocks``) of two
+    blocks, the doubled strict upper triangle and the diagonal, is exactly
+    the full-matrix one.
     """
-    t, a = q.shape[:2]
+    t, a, d = q.shape
     out = np.empty(t)
-    if k.family == "exp1d":
+    if d == 1:
         rows = max(1, _BLOCK_POINTS // a)
         for start in range(0, t, rows):
             block = slice(start, start + rows)
             pt = p[block, :, 0] * w
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = pt * _exp1d_rows(q[block, :, 0], pt, k.alpha)
+                terms = pt * _exp1d_rows(q[block, :, 0], pt, alpha)
             out[block] = [_half_fsum(row) for row in terms.tolist()]
         return out
     rows = max(1, _BLOCK_PAIRS // (a * a))
     upper = np.triu(np.ones((a, a), dtype=bool), 1)
     for start in range(0, t, rows):
         block = slice(start, start + rows)
-        terms = _pair_terms(k, q[block], p[block] * w[:, None])
+        terms = _pair_terms(alpha, q[block], p[block] * w[:, None])
         doubled = terms[:, upper]
         doubled *= 2.0
         diagonal = np.diagonal(terms, axis1=1, axis2=2).copy()
@@ -341,7 +331,7 @@ def _hamiltonians(k: KernelSpec, q: np.ndarray, p: np.ndarray, w: np.ndarray) ->
 
 def collective_hamiltonian(st: SingularState) -> float:
     """``1/2 sum_{a,b} (P_a . P_b) G(Q_a - Q_b) w_a w_b`` (order-independent sum)."""
-    return float(_hamiltonians(st.kernel, st.q[None], st.p[None], st.weights)[0])
+    return float(_hamiltonians(st.alpha, st.q[None], st.p[None], st.weights)[0])
 
 
 def _canonical_point(st: SingularState) -> np.ndarray:
@@ -356,24 +346,24 @@ def _collective_observable(template: SingularState) -> Observable:
     canonical, so the generic symplectic steppers apply unchanged.
     """
     a, d = template.count, template.dim
-    k = template.kernel
+    alpha = template.alpha
     unit = np.ones(a)
 
     def value(z: np.ndarray):
         qp = z.reshape(-1, 2, a, d)
-        return _hamiltonians(k, qp[:, 0], qp[:, 1], unit).reshape(z.shape[:-1])
+        return _hamiltonians(alpha, qp[:, 0], qp[:, 1], unit).reshape(z.shape[:-1])
 
     def exp1d_field(u: list) -> list:
-        return _exp1d_scan(u[:a], u[a:], k.alpha)
+        return _exp1d_scan(u[:a], u[a:], alpha)
 
     def gradient(z: np.ndarray):
-        if k.family == "exp1d":
+        if d == 1:
             x = np.array([exp1d_field(row) for row in z.reshape(-1, 2 * a).tolist()]).reshape(z.shape)
             # negation is exact: these are the bits of dH/dq and dH/dpt
             return np.concatenate([-x[..., a:], x[..., :a]], axis=-1)
         head = z.shape[:-1]
         q, pt = z[..., : a * d].reshape(head + (a, d)), z[..., a * d :].reshape(head + (a, d))
-        g, u = _kernel(k, _differences(q))
+        g, u = _kernel(alpha, _differences(q))
         c = pt @ np.swapaxes(pt, -1, -2)
         c *= g
         dq_grad = np.einsum("...ab,i...ab->...ai", c, u)
@@ -382,7 +372,7 @@ def _collective_observable(template: SingularState) -> Observable:
             [dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1
         )
 
-    float_field = exp1d_field if k.family == "exp1d" else None
+    float_field = exp1d_field if d == 1 else None
     return Observable(value, gradient, name="collective", float_field=float_field)
 
 
@@ -390,15 +380,16 @@ def _collective_observable(template: SingularState) -> Observable:
 class Trajectory:
     """Sampled collective flow: times plus (Q, P) at each step.
 
-    ``q`` and ``p`` have shape (steps + 1, A, d); weights and the kernel are
-    constant along the flow.  ``chain=True`` marks filament trajectories.
+    ``q`` and ``p`` have shape (steps + 1, A, d); the weights and the kernel
+    length scale ``alpha`` are constant along the flow.  ``chain=True``
+    marks filament trajectories.
     """
 
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
     weights: np.ndarray
-    kernel: KernelSpec
+    alpha: float
     chain: bool = False
 
     def __len__(self) -> int:
@@ -406,7 +397,7 @@ class Trajectory:
 
     def hamiltonians(self) -> np.ndarray:
         """``collective_hamiltonian`` at each time."""
-        return _hamiltonians(self.kernel, self.q, self.p, self.weights)
+        return _hamiltonians(self.alpha, self.q, self.p, self.weights)
 
     def total_momenta(self) -> np.ndarray:
         """``sum_a P_a w_a`` at each time, shape (steps + 1, d)."""
@@ -451,14 +442,14 @@ def integrate(st: SingularState, spec: FlowSpec) -> Trajectory:
     steps = path.shape[0]
     q = path[:, : a * d].reshape(steps, a, d)
     pt = path[:, a * d :].reshape(steps, a, d)
-    p = pt / st.weights[:, None]
+    p = np.divide(pt, st.weights[:, None], out=pt)  # in place: the path is the trajectory's only copy
     times = np.arange(steps) * spec.dt
     return Trajectory(
         times=times,
         q=q,
         p=p,
         weights=st.weights,
-        kernel=st.kernel,
+        alpha=st.alpha,
         chain=isinstance(st, FilamentState),
     )
 

@@ -55,7 +55,6 @@ from .fields import (
 from .peakons import (
     FilamentState,
     FlowSpec,
-    KernelSpec,
     SingularState,
     filament_current,
     integrate,
@@ -204,16 +203,15 @@ def _oscillator() -> Observable:
     )
 
 
-def _study_filament(nodes: int, kernel: KernelSpec | None = None) -> FilamentState:
+def _study_filament(nodes: int) -> FilamentState:
     """A smooth closed curve with mixed tangential/normal covectors."""
-    kernel = kernel or KernelSpec("gaussian", 0.8)
     s = np.arange(nodes) / nodes
     ang = 2.0 * np.pi * s
     q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     tangent = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
     normal = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = 0.4 * tangent + 0.2 * np.cos(ang)[:, None] * normal
-    return FilamentState(q, p, kernel, nonvanishing=True)
+    return FilamentState(q, p, 0.8, nonvanishing=True)
 
 
 def numeric_suite(seed: int = 7, n: int = 16) -> list[CheckRow]:
@@ -313,13 +311,11 @@ def numeric_suite(seed: int = 7, n: int = 16) -> list[CheckRow]:
     zero_cov = CovectorField(src, cov.q, np.zeros_like(cov.p))
     rows.append(_row("transport-zero-covector", transport_residual(zero_cov, alpha), 0.0, n))
 
-    peak = SingularState([[0.0]], [[2.0]], KernelSpec("exp1d", 1.0))
+    peak = SingularState([[0.0]], [[2.0]], 1.0)
     traj = integrate(peak, FlowSpec("implicit-midpoint", 1e-3, 1000))
     rows.append(_row("peakon-transport", traj.q[-1, 0, 0] - 1.0, 1e-10))
 
-    pair = SingularState(
-        [[-1.0], [1.0]], [[1.2], [0.6]], KernelSpec("exp1d", 1.0)
-    )
+    pair = SingularState([[-1.0], [1.0]], [[1.2], [0.6]], 1.0)
     traj = integrate(pair, FlowSpec("implicit-midpoint", 1e-3, 1000))
     momenta = traj.total_momenta()
     rows.append(_row("peakon-momentum-drift", np.max(np.abs(momenta - momenta[0])), 1e-12))

@@ -21,7 +21,6 @@ from dualpairs.fields import ChainSource, GridSource
 from dualpairs.peakons import (
     FilamentState,
     FlowSpec,
-    KernelSpec,
     SingularState,
     integrate,
     pair_with_field,
@@ -142,16 +141,16 @@ def test_criterion_4_bridge_exactness():
 
 
 def test_criterion_5_singular_solutions():
-    kernel = KernelSpec("exp1d", 1.0)
+    alpha = 1.0
 
     single = integrate(
-        SingularState(np.array([[0.0]]), np.array([[2.0]]), kernel),
+        SingularState(np.array([[0.0]]), np.array([[2.0]]), alpha),
         FlowSpec("implicit-midpoint", 1e-3, 5000),
     )
     transport_error = abs(single.q[-1, 0, 0] - 5.0)
 
     pair = integrate(
-        SingularState(np.array([[-1.0], [1.0]]), np.array([[2.0], [1.0]]), kernel),
+        SingularState(np.array([[-1.0], [1.0]]), np.array([[2.0], [1.0]]), alpha),
         FlowSpec("implicit-midpoint", 1e-3, 10000),
     )
     h = pair.hamiltonians()
@@ -168,7 +167,7 @@ def test_criterion_5_singular_solutions():
     st = FilamentState(
         np.stack([np.cos(ang), np.sin(ang)], axis=-1),
         0.7 * np.stack([-np.sin(ang), np.cos(ang)], axis=-1),
-        KernelSpec("gaussian", 0.8),
+        0.8,
     )
     rng = np.random.default_rng(5)
     repar_exact = all(

@@ -288,7 +288,7 @@ def test_peakon_refuses_runs_over_the_pair_budget(capsys, tmp_path, monkeypatch,
     path = tmp_path / "big.csv"
     code, _, err = run(capsys, "peakon", *argv, "--t-final", "0.01", "--dt", "0.01", "--out", str(path))
     assert code == 2
-    assert "121 kernel pairs" in err and "MAX_PAIRS" in err
+    assert "need (d + 2)·A² = 484 kernel entries, over the limit of 400" in err and "MAX_PAIRS" in err
     assert not path.exists()
 
 
@@ -303,19 +303,55 @@ def test_peakon_runs_at_the_pair_budget(capsys, tmp_path, monkeypatch):
     assert len(read_rows(path)) == 1 + 2
 
 
-def test_exp1d_runs_count_one_pair_per_point(capsys, tmp_path, monkeypatch):
-    # the exp1d scan touches each point a constant number of times, so A, not A^2, meets the budget
-    monkeypatch.setattr(peakons, "MAX_PAIRS", 100)
+def test_gaussian_budget_counts_every_dimension():
+    # the (d, A, A) displacements grow with d: 4096 points fit in two dimensions only
+    cli._require_pair_budget(4096, 2)
+    cli._require_pair_budget(3344, 4)
+    for count, dim in [(4097, 2), (3345, 4)]:
+        with pytest.raises(ValueError, match=f"{count} points in {dim} dimensions"):
+            cli._require_pair_budget(count, dim)
+
+
+def test_line_runs_are_limited_by_their_point_count(capsys, tmp_path, monkeypatch):
+    # a scan on the line holds lists of A floats, so A, not A^2, meets the limit
+    monkeypatch.setattr(peakons, "MAX_LINE_POINTS", 100)
     steps = ("--t-final", "0.01", "--dt", "0.01")
     path = tmp_path / "fits.csv"
-    code, _, _ = run(capsys, "peakon", "--n", "11", *steps, "--out", str(path))
+    code, _, _ = run(capsys, "peakon", "--n", "100", *steps, "--out", str(path))
     assert code == 0
     assert len(read_rows(path)) == 1 + 2
     path = tmp_path / "big.csv"
     code, _, err = run(capsys, "peakon", "--n", "101", *steps, "--out", str(path))
     assert code == 2
-    assert "101 kernel pairs with the exp1d kernel" in err and "MAX_PAIRS" in err
+    assert "101 points on the line are over the limit of 100 (peakons.MAX_LINE_POINTS)" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--dim", "64", "--n", "4096"), "4096 points in 64 dimensions need (d + 2)·A² = 1107296256 kernel entries"),
+        (("--n", str(peakons.MAX_LINE_POINTS + 1)), "262145 points on the line are over the limit of 262144"),
+    ],
+    ids=["gaussian-8.6-GB", "line-one-over"],
+)
+def test_peakon_refuses_runs_over_the_memory_budgets_before_building_them(capsys, tmp_path, monkeypatch, argv, message):
+    def built(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "SingularState", built)
+    path = tmp_path / "huge.csv"
+    tracemalloc.start()
+    try:  # one step, which the trajectory budget accepts at both sizes
+        code, out, err = run(capsys, "peakon", *argv, "--dt", "1", "--t-final", "1", "--out", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not path.exists()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -405,7 +441,7 @@ def test_peakon_runs_one_step_from_half_past_a_step(capsys, tmp_path):
 @pytest.mark.parametrize(
     "t_final, dt, count, dim",
     [
-        (1.0, 1.0, peakons.MAX_PAIRS, 1),  # one step at the most exp1d points
+        (1.0, 1.0, peakons.MAX_LINE_POINTS, 1),  # one step at the most points on the line
         (20.0, 1e-3, 2, 1),
         (0.5, 1e-3, 96, 1),
         (0.005, 1e-3, 20000, 1),
@@ -414,8 +450,9 @@ def test_peakon_runs_one_step_from_half_past_a_step(capsys, tmp_path):
         (1.5, 0.01, 256, 2),
     ],
 )
-def test_tested_and_benchmarked_runs_fit_the_trajectory_budget(t_final, dt, count, dim):
+def test_tested_and_benchmarked_runs_fit_both_budgets(t_final, dt, count, dim):
     steps = round(t_final / dt)
+    cli._require_pair_budget(count, dim)
     assert cli._require_trajectory_budget({"t_final": t_final, "dt": dt}, count, dim) == steps
 
 
@@ -667,6 +704,22 @@ def test_help_exits_0_and_lists_each_table_option(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["peakon", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["peakon", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "invalid choice: 'nosuch'"),
+    ],
+    ids=["unparsable-value", "unknown-flag", "no-subcommand", "unknown-subcommand"],
+)
+def test_argparse_errors_are_returned_as_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--tol", "1e300"),
@@ -680,10 +733,9 @@ def test_no_gate_or_fixed_setting_can_be_overridden(capsys, tmp_path, argv):
     # gates and the peakon kernel and radius are fixed: neither a flag nor a config key sets them
     command, flag, value = argv[0], argv[-2], argv[-1]
     path = tmp_path / "never.csv"
-    with pytest.raises(SystemExit) as exited:
-        cli.main([*argv, "--out", str(path)])
-    assert exited.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{flag.removeprefix('--')} = {value}\n")
     code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(path))

@@ -16,7 +16,6 @@ import pytest
 
 from dualpairs import peakons
 from dualpairs.peakons import (
-    KernelSpec,
     Trajectory,
     _exp1d_scan,
     _half_fsum,
@@ -41,7 +40,7 @@ def assert_same_doubles(got, want):
 
 
 def assert_matches_oracles(q, p, w, alpha):
-    h = Trajectory(np.arange(q.shape[0]) * 0.1, q, p, w, KernelSpec("exp1d", alpha)).hamiltonians()
+    h = Trajectory(np.arange(q.shape[0]) * 0.1, q, p, w, alpha).hamiltonians()
     assert_same_doubles(h, oracle_hamiltonians(q, p, w, alpha))
     return h
 

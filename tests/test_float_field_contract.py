@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dualpairs import verify
-from dualpairs.peakons import KernelSpec, SingularState, _collective_observable
+from dualpairs.peakons import SingularState, _collective_observable
 from dualpairs.symplectic import FlowSpec, Observable, flow, hamiltonian_vector_field
 
 
@@ -74,7 +74,7 @@ def test_exp1d_float_field_is_its_gradient_field(count):
     rng = np.random.default_rng(count)
     fields = []
     for alpha in (0.4, 1.0, 2.5):
-        st = SingularState(np.zeros((count, 1)), np.zeros((count, 1)), KernelSpec("exp1d", alpha))
+        st = SingularState(np.zeros((count, 1)), np.zeros((count, 1)), alpha)
         h = _collective_observable(st)
         assert h.float_field is not None
         fields.append(assert_float_field_contract(h, contract_points(rng, 2 * count, ties=True)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dualpairs import cli
-from dualpairs.peakons import FilamentState, KernelSpec, SingularState, integrate
+from dualpairs.peakons import FilamentState, SingularState, integrate
 from dualpairs.symplectic import FlowSpec
 
 
@@ -28,20 +28,20 @@ def lax_spectra(q, pt, alpha):
 def spectrum_drift(st, dt, t_final):
     """Largest change of the spectrum along the implicit-midpoint flow, relative to its size."""
     traj = integrate(st, FlowSpec("implicit-midpoint", dt, round(t_final / dt)))
-    spectra = lax_spectra(traj.q, traj.p * traj.weights[:, None], st.kernel.alpha)
+    spectra = lax_spectra(traj.q, traj.p * traj.weights[:, None], st.alpha)
     return float(np.max(np.abs(spectra - spectra[0])) / np.max(np.abs(spectra[0])))
 
 
 def cli_pair():
     """The state of ``peakon --n 2``: peakons at -1 and 1 with momenta 2 and 1, alpha = 1."""
-    return SingularState([[-1.0], [1.0]], [[2.0], [1.0]], KernelSpec("exp1d", 1.0))
+    return SingularState([[-1.0], [1.0]], [[2.0], [1.0]], 1.0)
 
 
 def six_positive_peakons():
     """Six peakons on a 1-D filament, so each weighs 1/6 and ``P w`` rounds."""
     rng = np.random.default_rng(5)
     q = np.sort(rng.uniform(-3.0, 3.0, 6))[:, None]
-    return FilamentState(q, rng.uniform(0.2, 2.0, (6, 1)), KernelSpec("exp1d", 0.7))
+    return FilamentState(q, rng.uniform(0.2, 2.0, (6, 1)), 0.7)
 
 
 def test_spectrum_of_a_single_peakon_is_its_momentum():

@@ -20,7 +20,7 @@ import pytest
 from dualpairs import cli
 from dualpairs.errors import SolverDivergenceError
 from dualpairs.fields import MapField, left_act
-from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.peakons import SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import (
     _FIXED_POINT_MAX_ITER,
     _FIXED_POINT_TOL,
@@ -174,14 +174,14 @@ def outcome(run, h, z, spec):
 
 @pytest.mark.parametrize("dt, step", [(1e-3, 3563), (0.05, 69), (0.2, 16)])
 def test_peakon_antipeakon_collision_stops_at_the_euler_start_step(dt, step):
-    st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), 1.0)
     h, z, spec = _collective_observable(st), _canonical_point(st), FlowSpec("implicit-midpoint", dt, round(4.0 / dt))
     assert outcome(flow, h, z, spec) == outcome(euler_start_flow, h, z, spec) == step
 
 
 @pytest.mark.parametrize("p", [[1e160, -1e160], [-1e160, 1e160], [1e160, 1e160]])
 def test_overflowing_states_stop_at_the_euler_start_step(p):
-    st = SingularState(np.array([[0.0], [0.5]]), np.array(p)[:, None], KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0], [0.5]]), np.array(p)[:, None], 1.0)
     h, z, spec = _collective_observable(st), _canonical_point(st), FlowSpec("implicit-midpoint", 0.1, 5)
     assert outcome(flow, h, z, spec) == outcome(euler_start_flow, h, z, spec) == 0
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from dualpairs.fields import ChainSource, format_float
 from dualpairs.peakons import (
     FilamentState,
     FlowSpec,
-    KernelSpec,
     SingularState,
     Trajectory,
     _canonical_point,
@@ -41,7 +41,7 @@ def circle_filament(nodes=24, radius=1.0, alpha=0.8, tangential=0.5):
     ang = 2 * np.pi * np.arange(nodes) / nodes
     q = radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = tangential * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-    return FilamentState(q, p, KernelSpec("gaussian", alpha))
+    return FilamentState(q, p, alpha)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -49,36 +49,31 @@ def circle_filament(nodes=24, radius=1.0, alpha=0.8, tangential=0.5):
 
 def test_exp1d_golden_values():
     # G(0) = 1/(2 alpha): H = p^2 G(0) / 2 and q-dot = p G(0) for one point
-    k = KernelSpec("exp1d", 2.0)
-    one = SingularState(np.array([[0.0]]), np.array([[3.0]]), k)
+    alpha = 2.0
+    one = SingularState(np.array([[0.0]]), np.array([[3.0]]), alpha)
     assert collective_hamiltonian(one) == 9.0 / 8.0
     dq, dp = rates(one)
     assert dq[0, 0] == 0.75
     # the symmetric peakon convention: zero slope at the crest, so no self-force
     assert dp[0, 0] == 0.0
     # two points |x| = alpha log 4 apart: G = e^{-log 4} / (2 alpha) = 1/16
-    two = SingularState(np.array([[0.0], [2.0 * math.log(4.0)]]), np.array([[1.0], [2.0]]), k)
+    two = SingularState(np.array([[0.0], [2.0 * math.log(4.0)]]), np.array([[1.0], [2.0]]), alpha)
     assert collective_hamiltonian(two) == pytest.approx((1.0 + 4.0) / 8.0 + 2.0 / 16.0, rel=1e-15)
     dq, _ = rates(two)
     assert dq[0, 0] == pytest.approx(1.0 / 4.0 + 2.0 / 16.0, rel=1e-15)
 
 
-def test_exp1d_rejects_higher_dim():
-    with pytest.raises(ValueError):
-        SingularState(np.zeros((3, 2)), np.ones((3, 2)), KernelSpec("exp1d", 1.0))
-
-
 def test_gaussian_golden_values():
-    k = KernelSpec("gaussian", 2.0)
+    alpha = 2.0
     # five coincident points: G(0) = 1 and grad G(0) = 0
     p = np.random.default_rng(1).normal(size=(5, 3))
-    st = SingularState(np.zeros((5, 3)), p, k)
+    st = SingularState(np.zeros((5, 3)), p, alpha)
     dq, dp = rates(st)
     assert np.array_equal(dp, np.zeros((5, 3)))
     assert np.abs(dq - p.sum(axis=0)).max() <= 1e-15 * np.abs(p).sum()
     # two unit covectors |x| = alpha = 2 apart: G = e^{-1/2}
     e1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    two = SingularState(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), e1, k)
+    two = SingularState(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), e1, alpha)
     assert collective_hamiltonian(two) == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
     dq, dp = rates(two)
     assert dq[0, 0] == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
@@ -86,45 +81,49 @@ def test_gaussian_golden_values():
     assert dp[0, 0] == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-15)
 
 
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        KernelSpec("sinc", 1.0)
-    with pytest.raises(ValueError):
-        KernelSpec("gaussian", -1.0)
+def two_points(dim, alpha):
+    """Two points in ``dim`` dimensions: the line's exp1d kernel at dim 1, the gaussian above."""
+    return SingularState(np.eye(2, dim), np.ones((2, dim)), alpha)
 
 
-@pytest.mark.parametrize("family", ["exp1d", "gaussian"])
-def test_kernel_length_scale_whose_square_underflows_is_refused(family):
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, -0.0, math.nan])
+def test_kernel_validation(alpha):
+    with pytest.raises(ValueError, match="kernel length scale must be positive"):
+        two_points(2, alpha)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["exp1d", "gaussian"])
+def test_kernel_length_scale_whose_square_underflows_is_refused(dim):
     # both kernels divide by 2 alpha^2: 0 at alpha = 1e-200, a subnormal at 1e-160
     with pytest.raises(ValueError, match="alpha = 1e-200"):
-        KernelSpec(family, 1e-200)
-    assert KernelSpec(family, 1e-160).alpha == 1e-160
+        two_points(dim, 1e-200)
+    assert two_points(dim, 1e-160).alpha == 1e-160
 
 
-@pytest.mark.parametrize("family", ["exp1d", "gaussian"])
-def test_kernel_length_scale_whose_square_overflows_is_refused(family):
+@pytest.mark.parametrize("dim", [1, 2], ids=["exp1d", "gaussian"])
+def test_kernel_length_scale_whose_square_overflows_is_refused(dim):
     # 2 alpha^2 is inf at these alphas, where the gaussian's alpha**2 would raise OverflowError
     for alpha in (1e160, 1e200):
         with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha} is too large")):
-            KernelSpec(family, alpha)
-    assert KernelSpec(family, 1e153).alpha == 1e153
+            two_points(dim, alpha)
+    assert two_points(dim, 1e153).alpha == 1e153
 
 
 # -- states ----------------------------------------------------------------------
 
 
 def test_singular_state_shapes_and_defaults():
-    st = SingularState(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0], [1.0]]), np.array([[2.0], [3.0]]), 1.0)
     assert st.count == 2 and st.dim == 1
     assert np.array_equal(st.weights, np.ones(2)) and not st.weights.flags.writeable
     # the weights follow from the kind of state: they are not an input
     with pytest.raises(TypeError):
-        SingularState(st.q, st.p, st.kernel, weights=np.ones(2))
+        SingularState(st.q, st.p, st.alpha, weights=np.ones(2))
 
 
 def test_singular_state_length_mismatch():
     with pytest.raises(ValueError):
-        SingularState(np.zeros((2, 1)), np.zeros((3, 1)), KernelSpec("exp1d", 1.0))
+        SingularState(np.zeros((2, 1)), np.zeros((3, 1)), 1.0)
 
 
 def test_filament_weights_default_to_chain_spacing():
@@ -133,16 +132,16 @@ def test_filament_weights_default_to_chain_spacing():
     assert np.array_equal(circle_filament(nodes=40).weights, ChainSource(40).weights)
     assert not st.weights.flags.writeable
     with pytest.raises(TypeError):
-        FilamentState(st.q, st.p, st.kernel, weights=st.weights)
+        FilamentState(st.q, st.p, st.alpha, weights=st.weights)
     with pytest.raises(TypeError):  # nonvanishing is keyword-only
-        FilamentState(st.q, st.p, st.kernel, st.weights)
+        FilamentState(st.q, st.p, st.alpha, st.weights)
 
 
 def test_filament_rejects_coincident_nodes():
     q = np.zeros((4, 2))
     p = np.ones((4, 2))
     with pytest.raises(ValueError):
-        FilamentState(q, p, KernelSpec("gaussian", 1.0))
+        FilamentState(q, p, 1.0)
 
 
 def test_filament_nonvanishing_rejects_zero_covector():
@@ -150,16 +149,16 @@ def test_filament_nonvanishing_rejects_zero_covector():
     q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = np.ones_like(q)
     p[2] = 0.0
-    FilamentState(q, p, KernelSpec("gaussian", 1.0))  # fine without the flag
+    FilamentState(q, p, 1.0)  # fine without the flag
     with pytest.raises(ValueError):
-        FilamentState(q, p, KernelSpec("gaussian", 1.0), nonvanishing=True)
+        FilamentState(q, p, 1.0, nonvanishing=True)
 
 
 # -- collective dynamics ---------------------------------------------------------
 
 
 def test_single_peakon_golden_numbers():
-    st = SingularState(np.array([[0.0]]), np.array([[2.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0]]), np.array([[2.0]]), 1.0)
     # H = p^2 G(0) / 2 = 4 * 0.5 / 2
     assert collective_hamiltonian(st) == 1.0
     dq, dp = rates(st)
@@ -168,7 +167,7 @@ def test_single_peakon_golden_numbers():
 
 
 def test_single_peakon_travels_at_collective_speed():
-    st = SingularState(np.array([[0.0]]), np.array([[2.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0]]), np.array([[2.0]]), 1.0)
     traj = integrate(st, FlowSpec("implicit-midpoint", 1e-3, 5000))
     assert abs(traj.q[-1, 0, 0] - 5.0) <= 1e-8
     assert np.abs(traj.p[:, 0, 0] - 2.0).max() <= 1e-12
@@ -178,7 +177,7 @@ def test_two_peakon_conservation_short_window():
     st = SingularState(
         np.array([[-1.0], [1.0]]),
         np.array([[1.2], [0.6]]),
-        KernelSpec("exp1d", 1.0),
+        1.0,
     )
     traj = integrate(st, FlowSpec("implicit-midpoint", 1e-3, 1000))
     h = traj.hamiltonians()
@@ -191,7 +190,7 @@ def test_symmetric_peakon_pair_stays_mirror_symmetric():
     st = SingularState(
         np.array([[-2.0], [2.0]]),
         np.array([[0.8], [-0.8]]),
-        KernelSpec("exp1d", 1.0),
+        1.0,
     )
     traj = integrate(st, FlowSpec("implicit-midpoint", 1e-3, 2000))
     assert np.abs(traj.q[:, 0, 0] + traj.q[:, 1, 0]).max() <= 1e-9
@@ -206,28 +205,50 @@ def test_diagnostics_match_per_state_values_bitwise():
     ang = 2 * np.pi * np.arange(nodes) / nodes
     q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = 0.5 * np.stack([-np.sin(ang), np.cos(ang)], axis=-1) + 0.1 * rng.normal(size=(nodes, 2))
-    st = FilamentState(q, p, KernelSpec("gaussian", 0.8))
+    st = FilamentState(q, p, 0.8)
     traj = integrate(st, FlowSpec("implicit-midpoint", 0.01, 40))
     h = traj.hamiltonians()
     ptot = traj.total_momenta()
     assert h.shape == (41,) and ptot.shape == (41, 2)
     for i in range(len(traj)):
-        state = FilamentState(traj.q[i], traj.p[i], st.kernel)
+        state = FilamentState(traj.q[i], traj.p[i], st.alpha)
         assert collective_hamiltonian(state) == h[i]
         assert np.array_equal(_weighted_totals(state.p, state.weights), ptot[i])
+
+
+def run_peak(tmp_path, st, steps):
+    """Peak traced bytes of integrating ``st`` over ``steps`` steps and writing its CSV."""
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(tmp_path / "run.csv", integrate(st, FlowSpec("implicit-midpoint", 1e-3, steps)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("filament", [False, True])
+def test_a_run_holds_one_copy_of_its_path(tmp_path, filament):
+    # P = (P w) / w overwrites the path in place, and the momentum totals, the H column and the
+    # CSV rows take a block of rows at a time: 128 more steps cost 128 more rows of the path only
+    count = 32
+    q = np.stack([np.arange(count), np.zeros(count)], axis=-1) if filament else np.arange(count)[:, None]
+    st = (FilamentState if filament else SingularState)(q, np.ones_like(q), 1.0)
+    run_peak(tmp_path, st, 32)  # first-call allocations stay out of the difference
+    rows_bytes = 128 * 2 * q.size * 8
+    assert run_peak(tmp_path, st, 256) - run_peak(tmp_path, st, 128) < 1.25 * rows_bytes
 
 
 # -- the fused collective gradient against the einsum formulation -----------------
 
 
-def _reference_kernel(k, x):
+def _reference_kernel(alpha, x):
     """G and grad G on (..., d) displacements, two exps per point, as first written."""
-    if k.family == "exp1d":
-        g = np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha)
-        dg = -np.sign(x[..., 0]) * np.exp(-np.abs(x[..., 0]) / k.alpha) / (2.0 * k.alpha**2)
+    if x.shape[-1] == 1:
+        g = np.exp(-np.abs(x[..., 0]) / alpha) / (2.0 * alpha)
+        dg = -np.sign(x[..., 0]) * np.exp(-np.abs(x[..., 0]) / alpha) / (2.0 * alpha**2)
         return g, dg[..., None]
-    g = np.exp(-np.einsum("...i,...i->...", x, x) / (2.0 * k.alpha**2))
-    return g, -x / k.alpha**2 * g[..., None]
+    g = np.exp(-np.einsum("...i,...i->...", x, x) / (2.0 * alpha**2))
+    return g, -x / alpha**2 * g[..., None]
 
 
 def _reference_gradient(st, z):
@@ -237,40 +258,37 @@ def _reference_gradient(st, z):
     q = z[..., : a * d].reshape(head + (a, d))
     pt = z[..., a * d :].reshape(head + (a, d))
     dq = q[..., :, None, :] - q[..., None, :, :]
-    g, dg = _reference_kernel(st.kernel, dq)
+    g, dg = _reference_kernel(st.alpha, dq)
     pp = np.einsum("...ai,...bi->...ab", pt, pt)
     dq_grad = np.einsum("...ab,...abi->...ai", pp, dg)
     dpt_grad = np.einsum("...ab,...bi->...ai", g, pt)
     return np.concatenate([dq_grad.reshape(head + (a * d,)), dpt_grad.reshape(head + (a * d,))], axis=-1)
 
 
-def _random_state(seed, count, dim, family, alpha, ties=None):
-    """Random covectors: on points of weight 1 with tied positions (the exp1d default), or else on a
+def _random_state(seed, count, dim, alpha, ties=None):
+    """Random covectors: on points of weight 1 with tied positions (the 1-D default), or else on a
     filament of weight 1/count, which is not a power of two at 40 nodes, so ``P w`` rounds."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(count, dim))
     p = rng.normal(size=(count, dim))
     if ties is None:
-        ties = family == "exp1d"
+        ties = dim == 1
     if not ties:
-        return FilamentState(q, p, KernelSpec(family, alpha))
+        return FilamentState(q, p, alpha)
     q[3] = q[0]  # coincident points: the kernel slope there is 0 by convention
     q[7] = q[5]
-    return SingularState(q, p, KernelSpec(family, alpha))
+    return SingularState(q, p, alpha)
 
 
-@pytest.mark.parametrize(
-    "family, dim, alpha",
-    [("exp1d", 1, 0.7), ("exp1d", 1, 1.0), ("gaussian", 1, 0.9), ("gaussian", 2, 1.3), ("gaussian", 3, 0.6)],
-)
-def test_fused_gradient_matches_einsum_reference(family, dim, alpha):
-    st = _random_state(23, 40, dim, family, alpha)
+@pytest.mark.parametrize("dim, alpha", [(1, 0.7), (1, 1.0), (2, 1.3), (3, 0.6)])
+def test_fused_gradient_matches_einsum_reference(dim, alpha):
+    st = _random_state(23, 40, dim, alpha)
     z = _canonical_point(st)
     fused = _collective_observable(st).gradient(z)
     reference = _reference_gradient(st, z)
     assert np.max(np.abs(fused - reference)) <= 1e-13 * np.max(np.abs(reference))
     # the same point twice in one batch gives the per-row result bit for bit
-    other = _canonical_point(_random_state(29, 40, dim, family, alpha))
+    other = _canonical_point(_random_state(29, 40, dim, alpha))
     batch = _collective_observable(st).gradient(np.stack([z, other]))
     assert batch.shape == (2, z.size)
     assert np.array_equal(batch[0], fused)
@@ -284,8 +302,8 @@ def _reference_energy(st):
     """Dense exp1d H: ``1/2 sum_ab pt_a pt_b G(x_a - x_b)`` over all A^2 pairs, and the sum of |terms|."""
     pt = st.p[:, 0] * st.weights
     x = st.q[:, 0]
-    terms = np.outer(pt, pt) * np.exp(-np.abs(x[:, None] - x[None, :]) / st.kernel.alpha)
-    terms /= 2.0 * st.kernel.alpha
+    terms = np.outer(pt, pt) * np.exp(-np.abs(x[:, None] - x[None, :]) / st.alpha)
+    terms /= 2.0 * st.alpha
     return 0.5 * math.fsum(terms.ravel()), 0.5 * math.fsum(np.abs(terms).ravel())
 
 
@@ -295,10 +313,10 @@ def _exp1d_state(seed, count, alpha, spread=1.0, ties=True):
     q = spread * rng.normal(size=(count, 1))
     p = rng.normal(size=(count, 1))
     if not (ties and count >= 12):
-        return FilamentState(q, p, KernelSpec("exp1d", alpha))
+        return FilamentState(q, p, alpha)
     q[3] = q[0]  # a tied pair
     q[9] = q[8] = q[5]  # a tied triple
-    return SingularState(q, p, KernelSpec("exp1d", alpha))
+    return SingularState(q, p, alpha)
 
 
 def _assert_matches_dense(st, tol=1e-12):
@@ -319,10 +337,9 @@ def test_exp1d_scan_matches_dense_sums(count, alpha):
 
 
 def test_exp1d_scan_ties_keep_the_flat_crest_convention():
-    k = KernelSpec("exp1d", 0.7)
     q = np.array([[0.3], [-1.0], [0.3], [2.0], [0.3], [-1.0]])  # a tied triple and a tied pair
     p = np.array([[1.0], [-2.0], [0.5], [0.25], [-3.0], [4.0]])
-    st = SingularState(q, p, k)
+    st = SingularState(q, p, 0.7)
     _assert_matches_dense(st)
     # tied points share one field value: they move together
     dq, _ = rates(st)
@@ -334,12 +351,12 @@ def test_exp1d_scan_underflows_across_wide_gaps():
     alpha = 0.7
     rng = np.random.default_rng(41)
     q = np.concatenate([rng.normal(size=20) + c * 1500.0 * alpha for c in range(3)])[:, None]
-    st = FilamentState(q, rng.normal(size=(60, 1)), KernelSpec("exp1d", alpha))  # weight 1/60
+    st = FilamentState(q, rng.normal(size=(60, 1)), alpha)  # weight 1/60
     assert float(np.ptp(q)) > 1000.0 * alpha
     _assert_matches_dense(st)
     # the first cluster's forces, in the canonical variables, are those of the cluster alone
     z = _canonical_point(st)
-    alone = _collective_observable(SingularState(q[:20], st.p[:20], st.kernel))
+    alone = _collective_observable(SingularState(q[:20], st.p[:20], st.alpha))
     dq_grad = alone.gradient(np.concatenate([z[:20], z[60:80]]))[:20]
     assert np.array_equal(_collective_observable(st).gradient(z)[:20], dq_grad)
 
@@ -357,12 +374,12 @@ def test_exp1d_batch_rows_equal_single_rows_bitwise():
         assert values[i] == obs.value(z)
 
 
-@pytest.mark.parametrize("family, dim", [("exp1d", 1), ("gaussian", 2)])
+@pytest.mark.parametrize("dim", [1, 2], ids=["exp1d", "gaussian"])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_observable_value_is_collective_hamiltonian_bitwise(family, dim, weighted):
-    states = [_random_state(seed, 40, dim, family, 0.8, ties=False if weighted else None) for seed in (31, 37, 41)]
+def test_observable_value_is_collective_hamiltonian_bitwise(dim, weighted):
+    states = [_random_state(seed, 40, dim, 0.8, ties=False if weighted else None) for seed in (31, 37, 41)]
     if not weighted:
-        states = [SingularState(st.q, st.p, st.kernel) for st in states]
+        states = [SingularState(st.q, st.p, st.alpha) for st in states]
     obs = _collective_observable(states[0])
     batch = obs.value(np.stack([_canonical_point(st) for st in states]))
     assert batch.shape == (3,)
@@ -376,9 +393,9 @@ def test_observable_value_is_collective_hamiltonian_bitwise(family, dim, weighte
 def test_canonical_hamiltonian_against_the_weighted_pair_sum(power_of_two):
     # H was once summed as (P_a . P_b) G w_a w_b; summing (pt_a . pt_b) G with pt = P w moves
     # only the last bits, and none when every weight is a power of two (filaments of 2^k nodes)
-    st = _random_state(43, 64 if power_of_two else 40, 2, "gaussian", 0.8)
+    st = _random_state(43, 64 if power_of_two else 40, 2, 0.8)
     w = st.weights
-    terms = _pair_terms(st.kernel, st.q, st.p) * np.outer(w, w)
+    terms = _pair_terms(st.alpha, st.q, st.p) * np.outer(w, w)
     old, size = 0.5 * math.fsum(terms.ravel()), 0.5 * math.fsum(np.abs(terms).ravel())
     h = collective_hamiltonian(st)
     if power_of_two:
@@ -389,7 +406,7 @@ def test_canonical_hamiltonian_against_the_weighted_pair_sum(power_of_two):
 
 def test_overflowing_hamiltonian_sum_is_nan():
     # each term is finite, but their sum overflows: math.fsum would raise
-    st = SingularState(np.array([[0.0], [2.0]]), np.array([[1.7e154], [0.85e154]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0], [2.0]]), np.array([[1.7e154], [0.85e154]]), 1.0)
     assert math.isnan(collective_hamiltonian(st))
 
 
@@ -399,7 +416,7 @@ def test_exp1d_hamiltonians_equal_per_state_values_bitwise():
     h = traj.hamiltonians()
     assert h.shape == (31,)
     for i in range(len(traj)):
-        assert collective_hamiltonian(SingularState(traj.q[i], traj.p[i], st.kernel)) == h[i]
+        assert collective_hamiltonian(SingularState(traj.q[i], traj.p[i], st.alpha)) == h[i]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -420,7 +437,7 @@ def test_exp1d_scan_at_a_hundred_thousand_points():
     q = np.sort(rng.uniform(-2000.0, 2000.0, count))
     pt = rng.uniform(0.5, 1.5, count) * rng.choice([-1.0, 1.0], count)
     z = np.concatenate([q, pt])
-    st = SingularState(q[:, None], pt[:, None], KernelSpec("exp1d", alpha))
+    st = SingularState(q[:, None], pt[:, None], alpha)
     grad = _collective_observable(st).gradient(z)
     for a in rng.choice(count, 16, replace=False):
         g = np.exp(-np.abs(q[a] - q) / alpha) / (2.0 * alpha)
@@ -431,8 +448,7 @@ def test_exp1d_scan_at_a_hundred_thousand_points():
 
 
 def test_exp1d_coincident_points_feel_no_mutual_force():
-    k = KernelSpec("exp1d", 1.0)
-    st = SingularState(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), k)
+    st = SingularState(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), 1.0)
     dq, dp = rates(st)
     assert np.array_equal(dp, np.zeros((2, 1)))
     assert np.array_equal(dq, np.full((2, 1), 1.5))
@@ -445,23 +461,23 @@ def test_hamiltonians_half_sum_equals_full_matrix_fsum(dim, count, rows):
     q = rng.normal(size=(rows, count, dim))
     p = rng.normal(size=(rows, count, dim))
     w = rng.uniform(0.5, 1.5, count)
-    k = KernelSpec("gaussian", 0.9)
-    traj = Trajectory(np.arange(rows) * 0.1, q, p, w, k)
+    alpha = 0.9
+    traj = Trajectory(np.arange(rows) * 0.1, q, p, w, alpha)
     h = traj.hamiltonians()
     for i in range(rows):
-        terms = _pair_terms(k, q[i], p[i] * w[:, None])
+        terms = _pair_terms(alpha, q[i], p[i] * w[:, None])
         assert np.array_equal(terms, terms.T)
         assert h[i] == 0.5 * math.fsum(terms.ravel().tolist())
 
 
 def test_hamiltonian_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.3))  # weight 1/5
+    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), 1.3)  # weight 1/5
     dq, dp = rates(st)
     eps = 1e-6
 
     def h_of(q, p):
-        return collective_hamiltonian(FilamentState(q, p, st.kernel))
+        return collective_hamiltonian(FilamentState(q, p, st.alpha))
 
     for a in range(5):
         for i in range(2):
@@ -481,13 +497,13 @@ def test_hamiltonian_gradient_matches_finite_differences():
 
 def test_pair_with_constant_field_is_total_momentum():
     rng = np.random.default_rng(13)
-    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.0))  # weight 1/5
+    st = FilamentState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), 1.0)  # weight 1/5
     value = pair_with_field(st, np.array([1.0, 0.0]))
     assert value == _weighted_totals(st.p, st.weights)[0]
 
 
 def test_pair_with_zero_covector_vanishes():
-    st = SingularState(np.array([[0.3], [0.9]]), np.zeros((2, 1)), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.3], [0.9]]), np.zeros((2, 1)), 1.0)
     assert pair_with_field(st, lambda x: np.ones_like(x)) == 0.0
 
 
@@ -495,7 +511,7 @@ def test_filament_current_radial_covector_vanishes():
     ang = 2 * np.pi * np.arange(12) / 12
     q = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     p = q.copy()  # radial: orthogonal to the tangent by symmetry of D_s
-    st = FilamentState(q, p, KernelSpec("gaussian", 1.0))
+    st = FilamentState(q, p, 1.0)
     assert np.abs(filament_current(st)).max() <= 1e-13
 
 
@@ -524,9 +540,9 @@ def test_reparametrize_takes_an_integer_shift():
             reparametrize(st, bad)
     assert np.array_equal(reparametrize(st, np.int64(3)).q, reparametrize(st, 3).q)
     # a point state rotates too, and a filament keeps its flag
-    points = SingularState(st.q, st.p, st.kernel)
+    points = SingularState(st.q, st.p, st.alpha)
     assert type(reparametrize(points, 3)) is SingularState
-    assert reparametrize(FilamentState(st.q, st.p, st.kernel, nonvanishing=True), 3).nonvanishing
+    assert reparametrize(FilamentState(st.q, st.p, st.alpha, nonvanishing=True), 3).nonvanishing
 
 
 def test_pairing_invariant_under_reparametrize():
@@ -553,7 +569,7 @@ def test_filament_current_conservation_along_flow():
 
 
 def test_point_trajectory_reports_zero_drift():
-    st = SingularState(np.array([[0.0]]), np.array([[1.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0]]), np.array([[1.0]]), 1.0)
     traj = integrate(st, FlowSpec("implicit-midpoint", 1e-2, 10))
     assert np.array_equal(traj.jr_drifts(), np.zeros(11))
     with pytest.raises(ValueError):
@@ -567,7 +583,7 @@ def test_trajectory_csv_schema(tmp_path):
     st = SingularState(
         np.array([[0.0, 0.0], [1.0, 0.5]]),
         np.array([[1.0, 0.0], [0.0, -1.0]]),
-        KernelSpec("gaussian", 1.0),
+        1.0,
     )
     traj = integrate(st, FlowSpec("implicit-midpoint", 0.125, 4))
     path = tmp_path / "traj.csv"
@@ -616,7 +632,7 @@ def test_trajectory_csv_bytes_match_the_per_value_writer(tmp_path, monkeypatch):
     def pick(*shape):
         return rng.choice(special, size=shape)
 
-    traj = Trajectory(pick(rows), pick(rows, 3, 2), pick(rows, 3, 2), np.ones(3), KernelSpec("gaussian", 1.0))
+    traj = Trajectory(pick(rows), pick(rows, 3, 2), pick(rows, 3, 2), np.ones(3), 1.0)
     # a non-finite H is a divergence (see below), so the H column holds finite values only
     energies = rng.choice([x for x in special if math.isfinite(x)], size=rows)
     momenta, drifts = pick(rows, 2), pick(rows)
@@ -630,7 +646,7 @@ def test_trajectory_csv_bytes_match_the_per_value_writer(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_trajectory_csv_refuses_a_non_finite_hamiltonian(tmp_path, monkeypatch, bad):
-    traj = integrate(SingularState(np.array([[0.0]]), np.array([[1.0]]), KernelSpec("exp1d", 1.0)),
+    traj = integrate(SingularState(np.array([[0.0]]), np.array([[1.0]]), 1.0),
                      FlowSpec("implicit-midpoint", 0.1, 5))
     energies = np.ones(6)
     energies[[2, 4]] = bad
@@ -651,11 +667,11 @@ def test_gaussian_hamiltonians_equal_the_math_fsum_version_bitwise():
     p = rng.normal(size=(rows, count, 2))
     p *= np.array([1.0, 1e-160, 1e100, 1e150, 2e153, 1e155, 1e160, 1.0, 3.0, 1e-5, 1e153, 5e153])[:, None, None]
     w = rng.uniform(0.5, 1.5, count)
-    k = KernelSpec("gaussian", 0.9)
-    h = Trajectory(np.arange(rows) * 0.1, q, p, w, k).hamiltonians()
+    alpha = 0.9
+    h = Trajectory(np.arange(rows) * 0.1, q, p, w, alpha).hamiltonians()
     upper = np.triu(np.ones((count, count), dtype=bool), 1)
     for i in range(rows):
-        terms = _pair_terms(k, q[i], p[i] * w[:, None])
+        terms = _pair_terms(alpha, q[i], p[i] * w[:, None])
         halves = np.concatenate([2.0 * terms[upper], np.diagonal(terms)])
         try:
             expected = 0.5 * math.fsum(halves.tolist())

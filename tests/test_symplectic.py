@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.peakons import KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.peakons import SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import FlowSpec, Observable, _states, advance, canonical_omega, flow
 
 
@@ -118,23 +118,23 @@ def test_linear_hamiltonian_flow_is_exact_translation():
     assert out[1] == 0.4
 
 
-def collective(family, q, p):
-    st = SingularState(np.array(q), np.array(p), KernelSpec(family, 1.0))
+def collective(q, p):
+    st = SingularState(np.array(q), np.array(p), 1.0)
     return _collective_observable(st), _canonical_point(st)
 
 
 # name -> (observable, initial point, flow request); 40 steps reach the extrapolated starts
 GENERATOR_RUNS = {
     "float-driver-exp1d": lambda: (
-        *collective("exp1d", [[-1.0], [0.2], [1.5]], [[1.0], [0.5], [-0.3]]),
+        *collective([[-1.0], [0.2], [1.5]], [[1.0], [0.5], [-0.3]]),
         FlowSpec("implicit-midpoint", 0.01, 40),
     ),
     "numpy-driver-gaussian-2d": lambda: (
-        *collective("gaussian", [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
+        *collective([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
         FlowSpec("implicit-midpoint", 0.01, 40),
     ),
     "rk4": lambda: (
-        *collective("gaussian", [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
+        *collective([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [[1.0, 0.0], [0.0, -0.5], [0.3, 0.2]]),
         FlowSpec("rk4", 0.01, 40),
     ),
 }

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualpairs.errors import SolverDivergenceError
-from dualpairs.peakons import FilamentState, KernelSpec, SingularState, _canonical_point, _collective_observable
+from dualpairs.peakons import FilamentState, SingularState, _canonical_point, _collective_observable
 from dualpairs.symplectic import FlowSpec, Observable, flow
 
 
@@ -55,7 +55,7 @@ def random_exp1d_state(seed):
         a, b = rng.integers(0, count, 2)
         q[a] = q[b]
     p = rng.normal(size=(count, 1))
-    return (SingularState if seed % 2 else FilamentState)(q, p, KernelSpec("exp1d", rng.uniform(0.3, 2.0)))
+    return (SingularState if seed % 2 else FilamentState)(q, p, rng.uniform(0.3, 2.0))
 
 
 def test_random_exp1d_states_match_the_numpy_driver():
@@ -72,13 +72,13 @@ def test_random_exp1d_states_match_the_numpy_driver():
 def test_three_peakons_match_the_numpy_driver_across_each_start():
     # steps 0-2 start at the Euler predictor, 3-4 at the cubic extrapolation, 5-9 at the quintic
     # one; at this dt the start decides the last bits from step 5 on (at 0.05 it does not)
-    st = SingularState(np.array([[-1.0], [0.2], [1.5]]), np.array([[1.0], [0.5], [-0.3]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[-1.0], [0.2], [1.5]]), np.array([[1.0], [0.5], [-0.3]]), 1.0)
     assert assert_same_flow(st, FlowSpec("implicit-midpoint", 0.1, 10)) is None
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
 def test_peakon_antipeakon_collision_diverges_at_the_same_step(dt):
-    st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), 1.0)
     error = assert_same_flow(st, FlowSpec("implicit-midpoint", dt, round(4.0 / dt)))
     assert error is not None and error[1] == f"implicit solve did not converge at step {error[0]}"
 
@@ -86,7 +86,7 @@ def test_peakon_antipeakon_collision_diverges_at_the_same_step(dt):
 @pytest.mark.parametrize("p", [[1e160, -1e160], [-1e160, 1e160], [1e160, 1e160]])
 def test_overflowing_states_diverge_at_the_same_step(p):
     # the predictor overflows to inf, so inf - inf makes the NumPy increment NaN
-    st = SingularState(np.array([[0.0], [0.5]]), np.array(p)[:, None], KernelSpec("exp1d", 1.0))
+    st = SingularState(np.array([[0.0], [0.5]]), np.array(p)[:, None], 1.0)
     assert assert_same_flow(st, FlowSpec("implicit-midpoint", 0.1, 5)) == (
         0, "implicit solve did not converge at step 0")
 
@@ -125,7 +125,7 @@ def test_a_step_that_converges_onto_inf_diverges():
 
 def test_only_exp1d_observables_take_the_float_path():
     rng = np.random.default_rng(4)
-    gaussian = SingularState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), KernelSpec("gaussian", 1.0))
+    gaussian = SingularState(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), 1.0)
     assert _collective_observable(gaussian).float_field is None
     assert _collective_observable(random_exp1d_state(4)).float_field is not None
 

@@ -19,12 +19,11 @@ from dualpairs.fields import (
     left_act,
     nodewise_linear,
 )
-from dualpairs.peakons import FilamentState, KernelSpec, SingularState
+from dualpairs.peakons import FilamentState, SingularState
 from dualpairs.symplectic import FlowSpec, Observable
 
 SRC = GridSource(4)
-EXP = KernelSpec("exp1d", 1.0)
-GAUSS = KernelSpec("gaussian", 1.0)
+ALPHA = 1.0
 
 
 # the harmonic oscillator h = |m|^2 / 2
@@ -48,10 +47,10 @@ CASES = {
     "cell": (_ramp((4, 4)), lambda a: CellTwoForm(SRC, a).values),
     "covector-q": (_ramp((4, 4, 2)), lambda a: CovectorField(SRC, a, np.zeros((4, 4, 2))).q),
     "covector-p": (_ramp((4, 4, 2)), lambda a: CovectorField(SRC, np.zeros((4, 4, 2)), a).p),
-    "singular-q": (_ramp((3, 1)), lambda a: SingularState(a, np.ones((3, 1)), EXP).q),
-    "singular-p": (_ramp((3, 1)), lambda a: SingularState(np.zeros((3, 1)), a, EXP).p),
-    "filament-q": (_circle(5), lambda a: FilamentState(a, np.ones((5, 2)), GAUSS).q),
-    "filament-p": (_ramp((5, 2)), lambda a: FilamentState(_circle(5), a, GAUSS).p),
+    "singular-q": (_ramp((3, 1)), lambda a: SingularState(a, np.ones((3, 1)), ALPHA).q),
+    "singular-p": (_ramp((3, 1)), lambda a: SingularState(np.zeros((3, 1)), a, ALPHA).p),
+    "filament-q": (_circle(5), lambda a: FilamentState(a, np.ones((5, 2)), ALPHA).q),
+    "filament-p": (_ramp((5, 2)), lambda a: FilamentState(_circle(5), a, ALPHA).p),
 }
 
 
@@ -93,7 +92,7 @@ def test_a_value_of_the_wrong_shape_is_refused(name):
 
 
 def test_a_state_keeps_its_one_dimensional_input_as_one_row():
-    state = SingularState(np.array([0.0, 1.5]), np.array([1.0, 2.0]), GAUSS)
+    state = SingularState(np.array([0.0, 1.5]), np.array([1.0, 2.0]), ALPHA)
     assert state.q.shape == state.p.shape == (1, 2)
     assert state.q.flags.owndata and not state.q.flags.writeable
 
@@ -148,7 +147,7 @@ def test_source_weights_are_one_read_only_array(source):
 def test_default_weights_are_one_array_handed_over():
     q = np.zeros((1 << 18, 1))  # 2 MB, as a 512 x 512 grid
     q.flags.writeable = False
-    builds = (lambda: GridSource(512), lambda: ChainSource(1 << 18), lambda: SingularState(q, q, EXP))
+    builds = (lambda: GridSource(512), lambda: ChainSource(1 << 18), lambda: SingularState(q, q, ALPHA))
     for build in builds:
         tracemalloc.start()
         try:
