@@ -30,7 +30,9 @@ instead of O(A^2): after sorting the positions, the sums of
 ``pt_b e^{-|x_a - x_b| / alpha}`` over the points strictly left of each
 point follow a first-order recurrence whose factors are all at most 1, the
 strictly-right sums mirror it, and tied positions share their group total.
-The gaussian kernel sums all A^2 pairs.
+The gaussian field sums all A^2 pairs.  The gaussian H sums each unordered
+pair once: the pairs ``(b, b + k mod A)``, k = 1 .. A // 2, are windows of
+the chain, so no pair is formed twice and none is gathered by index.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SolverDivergenceError, _integer
 from .fields import ChainSource, _frozen, _fsum, _fsum_blocks
@@ -149,12 +152,12 @@ class FilamentState(SingularState):
 
 # -- collective dynamics -------------------------------------------------------
 
-# Pairs per block of trajectory rows in the diagnostics, so their memory is
-# O(A^2) whatever the number of steps.
+# Pair terms per block of trajectory rows in the gaussian H column, A // 2 + 1
+# bands of A per row, so its memory is O(A^2) whatever the number of steps.
 _BLOCK_PAIRS = 1 << 16
 
-# Points per block of rows in the exp1d H and in the momentum totals, so that
-# their memory does not grow with the number of steps.
+# Points per block of rows in the exp1d H, the momentum totals and the chain
+# current drifts, so that their memory does not grow with the number of steps.
 _BLOCK_POINTS = 1 << 11
 
 # The gaussian budget: a field evaluation holds d + 2 float arrays of A^2
@@ -176,10 +179,36 @@ MAX_TRAJECTORY_VALUES = 1 << 26
 
 
 def _pair_terms(alpha: float, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """``(pt_a . pt_b) G(Q_a - Q_b)`` over any leading axes, with ``pt = P w``; H is half their sum."""
+    """``(pt_a . pt_b) G(Q_a - Q_b)`` over any leading axes, with ``pt = P w``; H is half their sum.
+
+    The full matrix, each unordered pair twice; the H column forms each once
+    (``_band_terms``) and is checked against this one bit for bit.
+    """
     terms = _kernel(alpha, _differences(q))[0]
     # einsum sums each entry's own products (no BLAS), so the terms are bitwise symmetric
     terms *= np.einsum("...ai,...bi->...ab", pt, pt)
+    return terms
+
+
+def _band_terms(alpha: float, q: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """The terms of ``_pair_terms`` at the pairs ``(b, b + k mod A)``, k = 0 .. A // 2, of (n, A, d) rows: (n, A // 2 + 1, A).
+
+    Band k is the window ``[k, k + A)`` of the chain with its first A // 2
+    points appended.  The displacements are C-ordered (d, n, bands, A) and
+    the dot products reduce over a contiguous last axis, as in
+    ``_pair_terms``, so each term has its bits there.
+    """
+    n, a, d = q.shape
+    half = a // 2
+    chain = np.empty((d, n, a + half))
+    chain[..., :a] = np.moveaxis(q, -1, 0)
+    chain[..., a:] = chain[..., :half]
+    x = np.empty((d, n, half + 1, a))
+    np.subtract(chain[..., None, :a], sliding_window_view(chain, a, axis=-1), out=x)
+    momenta = np.concatenate([pt, pt[:, :half]], axis=1)
+    windows = np.swapaxes(sliding_window_view(momenta, a, axis=1), -1, -2)
+    terms = _kernel(alpha, x)[0]
+    terms *= np.einsum("nai,nkai->nka", pt, windows)
     return terms
 
 
@@ -300,10 +329,12 @@ def _hamiltonians(alpha: float, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> 
 
     H is taken in the canonical variables ``(Q, P w)``, as the steppers see
     it, in blocks of rows.  On the line: ``1/2 sum_a pt_a dH/dpt_a`` after
-    one row scan per block.  Otherwise gaussian pair terms; they are bitwise
-    symmetric, so the exactly rounded sum (``fields._fsum_blocks``) of two
-    blocks, the doubled strict upper triangle and the diagonal, is exactly
-    the full-matrix one.
+    one row scan per block.  Otherwise the gaussian bands of ``_band_terms``:
+    band 0 is the diagonal, and the first A (A - 1) / 2 terms of the others
+    are each unordered pair once (at even A the second half of band A / 2
+    repeats its first).  Those are doubled, and the exactly rounded sum
+    (``fields._fsum_blocks``) of the two blocks, the same doubles as the
+    full matrix's, is the full-matrix sum bit for bit.
     """
     t, a, d = q.shape
     out = np.empty(t)
@@ -316,16 +347,17 @@ def _hamiltonians(alpha: float, q: np.ndarray, p: np.ndarray, w: np.ndarray) -> 
                 terms = pt * _exp1d_rows(q[block, :, 0], pt, alpha)
             out[block] = [_half_fsum(row) for row in terms.tolist()]
         return out
-    rows = max(1, _BLOCK_PAIRS // (a * a))
-    upper = np.triu(np.ones((a, a), dtype=bool), 1)
+    half = a // 2
+    pairs = a * (a - 1) // 2
+    rows = max(1, _BLOCK_PAIRS // (a * (half + 1)))
     for start in range(0, t, rows):
         block = slice(start, start + rows)
-        terms = _pair_terms(alpha, q[block], p[block] * w[:, None])
-        doubled = terms[:, upper]
+        terms = _band_terms(alpha, q[block], p[block] * w[:, None])
+        diagonal = terms[:, 0]
+        doubled = terms[:, 1:].reshape(len(terms), -1)[:, :pairs]
         doubled *= 2.0
-        diagonal = np.diagonal(terms, axis1=1, axis2=2).copy()
-        del terms  # the row sums' temporaries come on top of what is alive here
         out[block] = [_half_fsum(lambda: (u, d), _fsum_blocks) for u, d in zip(doubled, diagonal)]
+        del terms, doubled, diagonal  # the next block's terms come on top of what is alive here
     return out
 
 
@@ -417,11 +449,16 @@ class Trajectory:
         """
         if not self.chain:
             return np.zeros(len(self))
-        m = self.filament_currents()
-        scale = float(np.max(np.abs(m[0])))
+        m0 = _chain_current(self.q[0], self.p[0])
+        scale = float(np.max(np.abs(m0)))
         if scale == 0.0:
             scale = 1.0
-        return np.max(np.abs(m - m[0]), axis=1) / scale
+        out = np.empty(len(self))
+        rows = max(1, _BLOCK_POINTS // self.q.shape[1])
+        for start in range(0, len(self), rows):
+            block = slice(start, start + rows)
+            out[block] = np.max(np.abs(_chain_current(self.q[block], self.p[block]) - m0), axis=1) / scale
+        return out
 
 
 def _chain_current(q: np.ndarray, p: np.ndarray) -> np.ndarray:

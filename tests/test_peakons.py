@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualpairs import peakons
 from dualpairs.errors import SolverDivergenceError
 from dualpairs.fields import ChainSource, format_float
 from dualpairs.peakons import (
@@ -15,6 +16,8 @@ from dualpairs.peakons import (
     Trajectory,
     _canonical_point,
     _collective_observable,
+    _differences,
+    _kernel,
     _pair_terms,
     _weighted_totals,
     collective_hamiltonian,
@@ -679,3 +682,72 @@ def test_gaussian_hamiltonians_equal_the_math_fsum_version_bitwise():
             expected = math.nan
         assert h[i] == expected or (math.isnan(h[i]) and math.isnan(expected))
     assert np.isnan(h).any() and np.isfinite(h).sum() >= 6
+
+
+def _upper_triangle_hamiltonian(alpha, q, pt):
+    """H of one state as the full-matrix gather summed it: the doubled strict upper triangle, then the diagonal."""
+    terms = _pair_terms(alpha, q, pt)
+    upper = np.triu(np.ones(terms.shape, dtype=bool), 1)
+    try:
+        return 0.5 * math.fsum(np.concatenate([2.0 * terms[upper], np.diagonal(terms)]).tolist())
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 255, 256])
+def test_band_hamiltonians_equal_the_upper_triangle_sum_bitwise(monkeypatch, dim, count):
+    # three rows per block and three blocks (3, 3, 1 rows); odd counts take full bands only, even
+    # ones half of the last; one row's terms are near 1e200, and the last row's infinite position
+    # makes its H NaN even at one point, whose only term is the diagonal's G(inf - inf)
+    monkeypatch.setattr(peakons, "_BLOCK_PAIRS", 3 * count * (count // 2 + 1))
+    rng = np.random.default_rng(100 * dim + count)
+    rows = 7
+    q = rng.normal(size=(rows, count, dim))
+    p = rng.normal(size=(rows, count, dim))
+    p *= np.array([1.0, 1e-5, 3.0, 1e100, 1.0, 0.5, 1.0])[:, None, None]
+    q[-1, -1, 0] = math.inf
+    w = rng.uniform(0.5, 1.5, count)
+    alpha = 0.9
+    with np.errstate(invalid="ignore"):
+        h = Trajectory(np.arange(rows) * 0.1, q, p, w, alpha).hamiltonians()
+        expected = np.array([_upper_triangle_hamiltonian(alpha, q[i], p[i] * w[:, None]) for i in range(rows)])
+    assert np.array_equal(h, expected, equal_nan=True)
+    assert np.isfinite(h[:-1]).all() and math.isnan(h[-1])
+
+
+def test_drifts_blocked_over_rows_equal_the_whole_stack_formula_bitwise(monkeypatch):
+    # five rows per block of the 41-row path, the last block short
+    monkeypatch.setattr(peakons, "_BLOCK_POINTS", 5 * 24)
+    traj = integrate(circle_filament(nodes=24, tangential=0.4), FlowSpec("implicit-midpoint", 0.01, 40))
+    m = traj.filament_currents()
+    assert np.array_equal(traj.jr_drifts(), np.max(np.abs(m - m[0]), axis=1) / np.max(np.abs(m[0])))
+
+
+def _symmetric_product_gradient(alpha, z, a, d):
+    """The gaussian gradient with ``c = pt ptᵀ`` taken on a transposed view of pt itself.
+
+    NumPy sends that product to BLAS's symmetric rank-k path.  A gemm on a
+    contiguous copy of the transpose is faster, but on OpenBLAS 0.3.31 it
+    differs from it in the last bit at 47 points, and so changes the CSV of
+    ``peakon --filament --nodes 47``.
+    """
+    head = z.shape[:-1]
+    q, pt = z[..., : a * d].reshape(head + (a, d)), z[..., a * d :].reshape(head + (a, d))
+    g, u = _kernel(alpha, _differences(q))
+    c = pt @ np.swapaxes(pt, -1, -2)
+    c *= g
+    dq_grad = np.einsum("...ab,i...ab->...ai", c, u)
+    return np.concatenate([dq_grad.reshape(head + (a * d,)), (g @ pt).reshape(head + (a * d,))], axis=-1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 5, 47, 64, 257])
+def test_gaussian_gradient_equals_the_symmetric_product_formula_bitwise(dim, count):
+    rng = np.random.default_rng(10 * count + dim)
+    obs = _collective_observable(SingularState(np.zeros((count, dim)), np.zeros((count, dim)), 0.8))
+    for scale in (1e-100, 1.0, 1e100):
+        z = rng.normal(size=(3, 2 * count * dim))
+        z[:, count * dim :] *= scale
+        for point in (z[0], z):  # a single state and a stack of three
+            assert np.array_equal(obs.gradient(point), _symmetric_product_gradient(0.8, point, count, dim))
