@@ -354,16 +354,21 @@ def right_generator(f: MapField, alpha: StreamFunction) -> TangentField:
 # -- pullbacks and the cell quadrature ---------------------------------------
 
 
-def _cell_corners(source: GridSource, values: np.ndarray, rows: slice):
-    """Stacks (v00, v10, v01, v11) of the corner samples of the cells in ``rows``.
-
-    They are slices of one copy of the node rows with one more row and
-    column wrapped around.
-    """
+def _wrapped_rows(source: GridSource, values: np.ndarray, rows: slice) -> np.ndarray:
+    """One copy of the node rows in ``rows`` with one more row and column wrapped around."""
     w = np.empty((rows.stop - rows.start + 1, source.n + 1) + values.shape[2:])
     w[:-1, :-1] = values[rows]
     w[-1, :-1] = values[rows.stop % source.n]
     w[:, -1] = w[:, 0]
+    return w
+
+
+def _cell_corners(source: GridSource, values: np.ndarray, rows: slice):
+    """Stacks (v00, v10, v01, v11) of the corner samples of the cells in ``rows``.
+
+    They are slices of one :func:`_wrapped_rows` copy.
+    """
+    w = _wrapped_rows(source, values, rows)
     return w[:-1, :-1], w[1:, :-1], w[:-1, 1:], w[1:, 1:]
 
 
@@ -372,14 +377,18 @@ def _cell_corners(source: GridSource, values: np.ndarray, rows: slice):
 _BLOCK_CELLS = 1 << 14
 
 
-def _edge_differences(corners, two_h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-averaged corner differences of a node scalar along s1 and s2."""
-    v00, v10, v01, v11 = corners
-    d1 = v10 - v00
-    d1 += v11 - v01
+def _edge_differences(w: np.ndarray, two_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-averaged corner differences along s1 and s2 of a node scalar's :func:`_wrapped_rows`.
+
+    Each edge difference is formed once and shared by the two cells beside
+    it; the sums are ``(v10 - v00) + (v11 - v01)`` and
+    ``(v01 - v00) + (v11 - v10)``, in that order.
+    """
+    e1 = w[1:] - w[:-1]
+    d1 = e1[:, :-1] + e1[:, 1:]
     d1 /= two_h
-    d2 = v01 - v00
-    d2 += v11 - v10
+    e2 = w[:, 1:] - w[:, :-1]
+    d2 = e2[:-1] + e2[1:]
     d2 /= two_h
     return d1, d2
 
@@ -400,8 +409,8 @@ def _pullback_density(f: MapField) -> Iterator[tuple[slice, np.ndarray]]:
         rows = slice(r, min(r + step, src.n))
         qp = pq = 0.0
         for i in range(n):
-            d1q, d2q = _edge_differences(_cell_corners(src, f.values[..., i], rows), two_h)
-            d1p, d2p = _edge_differences(_cell_corners(src, f.values[..., n + i], rows), two_h)
+            d1q, d2q = _edge_differences(_wrapped_rows(src, f.values[..., i], rows), two_h)
+            d1p, d2p = _edge_differences(_wrapped_rows(src, f.values[..., n + i], rows), two_h)
             d1q *= d2p
             d1q += qp
             d1p *= d2q

@@ -323,12 +323,15 @@ class RationalPoly:
 
         The value and every partial derivative are evaluated from the exact
         coefficients converted to float once; vectorized over stacked points.
+        Each evaluation takes each power >= 2 of a coordinate once, shared by
+        every term with that exponent.  A point whose last axis is not
+        ``nvars`` wide raises ``ValueError``.
         """
         value = _float_evaluator(self)
         partials = [_float_evaluator(self.diff(i)) for i in range(self.nvars)]
 
         def gradient(m: np.ndarray) -> np.ndarray:
-            m = np.asarray(m, dtype=float)
+            m = _float_point(m, self.nvars)
             out = np.empty_like(m)
             for i, partial in enumerate(partials):
                 out[..., i] = partial(m)
@@ -373,19 +376,45 @@ def _combine(nvars: int, products) -> RationalPoly:
     return poly
 
 
+def _float_point(m, nvars: int) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.shape[-1:] != (nvars,):
+        raise ValueError(f"point has {m.shape[-1] if m.ndim else 0} coordinates, expected {nvars}")
+    return m
+
+
 def _float_evaluator(poly: RationalPoly):
+    nvars = poly.nvars
     if poly.is_zero():
-        return lambda m: np.zeros(np.asarray(m).shape[:-1], dtype=float)
+        return lambda m: np.zeros(_float_point(m, nvars).shape[:-1], dtype=float)
     exps = np.array([ix for ix, _ in poly.items()], dtype=int)
     coeffs = np.array([float(c) for _, c in poly.items()], dtype=float)
+    # Per variable, each distinct nonzero exponent and the terms that take it.
+    powers = [
+        (j, [(k, [t for t, e in enumerate(column) if e == k]) for k in sorted(set(column) - {0})])
+        for j, column in enumerate(exps.T.tolist())
+        if any(column)
+    ]
+    one_term = len(coeffs) == 1
 
     def value(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
+        m = _float_point(m, nvars)
         mono = np.ones(m.shape[:-1] + (len(coeffs),), dtype=float)
-        for j in range(m.shape[-1]):
-            e = exps[:, j]
-            if e.any():
-                mono *= m[..., j : j + 1] ** e
+        for j, by_exponent in powers:
+            x = m[..., j : j + 1]
+            for k, terms in by_exponent:
+                if k == 1:
+                    xk = x
+                elif one_term:
+                    # NumPy squares, without pow, where the exponent operand has stride 0, as a
+                    # one-term polynomial's length-1 exponent vector has for stacked points;
+                    # its results keep those bits
+                    xk = x ** exps[:, j]
+                else:
+                    # an exponent of x's own shape and dtype never has stride 0: every power is pow's
+                    xk = np.power(x, np.full_like(x, k))
+                for t in terms:
+                    mono[..., t : t + 1] *= xk
         return np.einsum("...t,t->...", mono, coeffs)
 
     return value

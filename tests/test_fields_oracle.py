@@ -37,8 +37,10 @@ from dualpairs.fields import (
     StreamFunction,
     _cell_corners,
     _centered_periodic,
+    _edge_differences,
     _fsum,
     _fsum_blocks,
+    _wrapped_rows,
     averaged_momentum_pair,
     cell_average,
     nodewise_linear,
@@ -476,6 +478,34 @@ def test_pullback_reference_sees_signed_zeros():
     assert np.signbit(d1[0] * d2[1] - d1[1] * d2[0])
     assert not np.signbit(stacked_pullback(src, values)).any()
     assert_same_numbers(pullback_omega(MapField(src, values)).values, stacked_pullback(src, values))
+
+
+def corner_edge_differences(corners, two_h):
+    """Both edge-averaged differences from the four corner stacks: each edge difference formed twice."""
+    v00, v10, v01, v11 = corners
+    d1 = v10 - v00
+    d1 += v11 - v01
+    d1 /= two_h
+    d2 = v01 - v00
+    d2 += v11 - v10
+    d2 /= two_h
+    return d1, d2
+
+
+@pytest.mark.parametrize("n", [4, 5, 33])
+@pytest.mark.parametrize("rows", ["all", "head", "tail", "last"])
+def test_shared_edge_differences_equal_the_four_corner_formula(n, rows):
+    # "tail" and "last" end with the wrapped row 0, and every block with the wrapped column 0;
+    # awkward data puts zeros of both signs in rows 0 and 1
+    src = GridSource(n)
+    values = awkward(np.random.default_rng(n), src.node_shape)
+    block = slice(n - 1, n) if rows == "last" else row_range(n, rows)
+    two_h = 2.0 * src.spacing
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        shared = _edge_differences(_wrapped_rows(src, values, block), two_h)
+        corners = corner_edge_differences(_cell_corners(src, values, block), two_h)
+    for new, old in zip(shared, corners):
+        assert_same_numbers(new, old)
 
 
 @pytest.mark.parametrize("n", [1, 7, 16, 40])

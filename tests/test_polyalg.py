@@ -215,3 +215,20 @@ def test_observable_matches_exact_evaluation():
         grad = obs.gradient(z)
         assert grad[0] == pytest.approx(float(gq), abs=1e-12)
         assert grad[1] == pytest.approx(float(gp), abs=1e-12)
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_observable_refuses_a_point_of_the_wrong_width(width):
+    import numpy as np
+
+    # a narrower point used to be evaluated as if each missing coordinate were 1
+    q1, p2 = q_var(1, 2), p_var(2, 2)
+    message = f"point has {width} coordinates, expected 4"
+    for poly in (q1 * q1 + p2 * 3, RationalPoly(4)):
+        obs = poly.observable()
+        for m in (np.arange(width) + 2.0, np.ones((3, width))):
+            with pytest.raises(ValueError, match=message):
+                obs.value(m)
+            with pytest.raises(ValueError, match=message):
+                obs.gradient(m)
+    assert (q1 * q1 + p2 * 3).observable().value([2.0, 0.0, 0.0, 5.0]) == 19.0

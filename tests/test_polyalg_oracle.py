@@ -13,7 +13,10 @@ Three checks that do not trust the module's own fused formulas:
 * a plain ``Fraction``-dict algebra on exponent tuples (``+``, ``*``,
   ``diff``, the bracket and evaluation), kept only here, which the module's
   packed-exponent, common-denominator results must equal term by term and
-  in the same order.
+  in the same order;
+* the per-variable ``pow`` loop the float evaluator of
+  :meth:`RationalPoly.observable` ran before it shared each power, kept only
+  here, which the shared-power evaluator must equal bit for bit.
 """
 
 import operator
@@ -21,6 +24,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -406,3 +410,98 @@ def test_bracket_and_cocycle_match_sympy():
         for point in ((0,) * nvars, m0):
             value = -bracket.subs({x: rational(v) for x, v in zip(xs, point)})
             assert central_cocycle(g, h, point) == Fraction(int(value.p), int(value.q))
+
+
+# -- the per-variable pow loop of the float evaluator, kept as the reference --------
+
+
+def loop_evaluator(poly):
+    """``mono *= m[..., j : j + 1] ** e`` for every variable any term uses: one ``pow`` per term and point."""
+    exps = np.array([ix for ix, _ in poly.items()], dtype=int)
+    coeffs = np.array([float(c) for _, c in poly.items()], dtype=float)
+
+    def value(m):
+        m = np.asarray(m, dtype=float)
+        mono = np.ones(m.shape[:-1] + (len(coeffs),), dtype=float)
+        for j in range(m.shape[-1]):
+            e = exps[:, j]
+            if e.any():
+                mono *= m[..., j : j + 1] ** e
+        return np.einsum("...t,t->...", mono, coeffs)
+
+    return value
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max]
+SHAPES = [(), (1,), (64,), (1, 1), (3, 1), (1, 4), (8, 8)]
+
+
+def evaluator_points(rng, shape, nvars):
+    """Doubles over many binades, where NumPy's pow and its square shortcut differ, and the special values."""
+    x = rng.standard_normal(shape + (nvars,)) * np.exp2(rng.integers(-60, 60, shape + (nvars,)))
+    special = rng.random(x.shape) < 0.2
+    x[special] = rng.choice(SPECIAL, int(special.sum()))
+    return x
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def assert_evaluator_matches_loop(poly, rng):
+    obs = poly.observable()
+    partials = [poly.diff(i) for i in range(poly.nvars)]
+    evaluators = [loop_evaluator(p) if not p.is_zero() else None for p in [poly] + partials]
+    with np.errstate(all="ignore"):
+        for shape in SHAPES:
+            m = evaluator_points(rng, shape, poly.nvars)
+            assert_same_bits(obs.value(m), evaluators[0](m))
+            grad = obs.gradient(m)
+            for i, ev in enumerate(evaluators[1:]):
+                assert_same_bits(grad[..., i], ev(m) if ev else np.zeros(shape))
+        for x in SPECIAL:
+            m = np.full((len(SPECIAL), poly.nvars), x)
+            m[:, 0] = SPECIAL
+            assert_same_bits(obs.value(m), evaluators[0](m))
+            assert_same_bits(obs.value(m[0]), evaluators[0](m[0]))
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_term_evaluator_equals_the_pow_loop_bitwise(nvars, k):
+    # stacked points with a length-1 exponent vector of 2 take NumPy's square shortcut, a single point pow
+    rng = np.random.default_rng(10 * nvars + k)
+    for j in range(nvars):
+        for other in (0, 1):
+            index = [other] * nvars
+            index[j] = k
+            assert_evaluator_matches_loop(RationalPoly(nvars, {tuple(index): Fraction(-3, 7)}), rng)
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_terms_sharing_one_power_equal_the_pow_loop_bitwise(nvars, k):
+    rng = np.random.default_rng(100 * nvars + k)
+    tails = [tuple(map(int, format(t, f"0{nvars - 1}b"))) for t in range(min(3, 2 ** (nvars - 1)))]
+    for j in range(nvars):
+        terms = {}
+        for t, tail in enumerate(tails):
+            index = list(tail)
+            index.insert(j, k)
+            terms[tuple(index)] = Fraction(t + 2, 3)
+        assert_evaluator_matches_loop(RationalPoly(nvars, terms), rng)
+
+
+def test_random_polys_evaluate_as_the_pow_loop_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(120):
+        nvars = int(rng.choice([2, 4, 6]))
+        terms = {}
+        for _ in range(int(rng.integers(1, 6))):
+            index = rng.integers(0, 7, nvars) * (rng.random(nvars) < 0.6)
+            terms[tuple(map(int, index))] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+        poly = RationalPoly(nvars, terms)
+        if not poly.is_zero():
+            assert_evaluator_matches_loop(poly, rng)
